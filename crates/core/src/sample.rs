@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use targets::analysis::domains_from_pre;
 use targets::Columns;
 
 /// A set of sampled points with their ground-truth results.
@@ -26,7 +27,7 @@ use targets::Columns;
 /// variable, the layout the block evaluator consumes directly — the sampled
 /// batch is transposed once here and never re-shaped (or re-allocated
 /// per point) by any downstream consumer.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SampleSet {
     /// Variable order used by the point columns.
     pub vars: Vec<Symbol>,
@@ -120,6 +121,28 @@ enum Attempt {
     NonConverged,
 }
 
+/// One closed range per argument of `core`, from the top-level conjuncts of
+/// its `:pre` (unbounded where the precondition gives none).
+fn pre_ranges(core: &FPCore) -> Vec<(f64, f64)> {
+    let vars = core.arg_names();
+    let mut ranges = vec![(f64::NEG_INFINITY, f64::INFINITY); vars.len()];
+    for (sym, range) in domains_from_pre(core.pre.as_ref()) {
+        // Rival binds a repeated argument name to its last occurrence.
+        if let Some(i) = vars.iter().rposition(|v| *v == sym) {
+            ranges[i] = range;
+        }
+    }
+    ranges
+}
+
+/// Whether every coordinate of `point` lies in its closed range.
+fn within(point: &[f64], ranges: &[(f64, f64)]) -> bool {
+    point
+        .iter()
+        .zip(ranges)
+        .all(|(&v, &(lo, hi))| lo <= v && v <= hi)
+}
+
 /// Samples valid input points for an FPCore benchmark.
 ///
 /// Each candidate attempt draws from its own RNG stream derived from
@@ -150,7 +173,9 @@ impl Sampler {
     /// moderate-magnitude value where most benchmark preconditions are satisfied
     /// (benchmark domains are overwhelmingly positive and within a few orders of
     /// magnitude of 1, so biasing the proposal distribution there keeps rejection
-    /// sampling cheap without changing which points are *accepted*).
+    /// sampling cheap without changing which points are *accepted*). A draw
+    /// outside the precondition's variable ranges is still rejected — by
+    /// `f64` comparisons rather than by Rival (see [`Sampler::sample`]).
     fn draw(rng: &mut Rng, ty: FpType) -> f64 {
         let value = match rng.below(4) {
             0 => loop {
@@ -175,9 +200,23 @@ impl Sampler {
     }
 
     /// Draws, filters, and ground-truths one attempt from its own RNG stream.
-    fn attempt(&self, core: &FPCore, vars: &[Symbol], types: &[FpType], index: u64) -> Attempt {
+    ///
+    /// A point outside `ranges` (one closed range per variable, see
+    /// [`Sampler::sample`]) is rejected in `f64` before Rival sees it; Rival
+    /// decides the precondition for every point inside.
+    fn attempt(
+        &self,
+        core: &FPCore,
+        vars: &[Symbol],
+        types: &[FpType],
+        ranges: &[(f64, f64)],
+        index: u64,
+    ) -> Attempt {
         let mut rng = Rng::for_stream(self.seed, index);
         let point: Vec<f64> = types.iter().map(|ty| Self::draw(&mut rng, *ty)).collect();
+        if !within(&point, ranges) {
+            return Attempt::PreFailed;
+        }
         let env: Vec<(Symbol, f64)> = vars.iter().copied().zip(point.iter().copied()).collect();
         if let Some(pre) = &core.pre {
             match self.evaluator.eval_bool(pre, &env) {
@@ -198,6 +237,15 @@ impl Sampler {
     /// point is the expensive step), then accepted in attempt order until the
     /// request is filled, which keeps the result independent of thread count.
     ///
+    /// Before Rival decides the precondition, an attempt with a variable
+    /// outside its closed range from [`domains_from_pre`] is rejected with
+    /// `f64` comparisons. This never changes the outcome: the range
+    /// bounds are literals rounded outward, so such a point falsifies a
+    /// top-level conjunct of the `:pre` over the reals, and Rival could never
+    /// have answered `Some(true)` for it. The accepted points and truths, the
+    /// attempt count, and every [`SampleError`] are those of asking Rival
+    /// about every attempt; only the cost of the rejections changes.
+    ///
     /// # Errors
     ///
     /// Returns [`SampleError::NotEnoughPoints`] when fewer than a quarter of the
@@ -207,6 +255,17 @@ impl Sampler {
         core: &FPCore,
         train: usize,
         test: usize,
+    ) -> Result<SampleSet, SampleError> {
+        self.sample_within(core, train, test, &pre_ranges(core))
+    }
+
+    /// [`Sampler::sample`] with the per-variable pre-filter ranges given.
+    fn sample_within(
+        &mut self,
+        core: &FPCore,
+        train: usize,
+        test: usize,
+        ranges: &[(f64, f64)],
     ) -> Result<SampleSet, SampleError> {
         let vars = core.arg_names();
         let types: Vec<FpType> = core.args.iter().map(|(_, t)| *t).collect();
@@ -232,7 +291,13 @@ impl Sampler {
             }
             let batch = batch_size.min(max_attempts - attempts);
             let candidates = par::par_map_range(batch, |i| {
-                self.attempt(core, &vars, &types, base_stream + (attempts + i) as u64)
+                self.attempt(
+                    core,
+                    &vars,
+                    &types,
+                    ranges,
+                    base_stream + (attempts + i) as u64,
+                )
             });
             for outcome in candidates {
                 match outcome {
@@ -935,6 +1000,130 @@ mod tests {
             sampler.sample(&core, 8, 4),
             Err(SampleError::EmptyDomain { .. })
         ));
+    }
+
+    /// A value inside the closed range `[lo, hi]`, away from its ends when
+    /// they are finite.
+    fn interior((lo, hi): (f64, f64)) -> f64 {
+        match (lo.is_finite(), hi.is_finite()) {
+            (true, true) => lo / 2.0 + hi / 2.0,
+            (true, false) => lo + lo.abs() + 1.0,
+            (false, true) => hi - hi.abs() - 1.0,
+            (false, false) => 0.0,
+        }
+    }
+
+    #[test]
+    fn range_filter_rejects_only_points_rival_rejects() {
+        // The sampler's own ladder: the filter must never reject a point for
+        // which this evaluator would have decided the `:pre` true.
+        let evaluator = Sampler::new(0).evaluator;
+        let (mut with_pre, mut rejected) = (0, 0);
+        for bench in benchsuite::corpus::all() {
+            let core = bench.fpcore();
+            let Some(pre) = &core.pre else { continue };
+            with_pre += 1;
+            let vars = core.arg_names();
+            let ranges = pre_ranges(&core);
+            let mut check = |point: Vec<f64>| {
+                if within(&point, &ranges) {
+                    return;
+                }
+                rejected += 1;
+                let env: Vec<(Symbol, f64)> =
+                    vars.iter().copied().zip(point.iter().copied()).collect();
+                assert_ne!(
+                    evaluator.eval_bool(pre, &env),
+                    Some(true),
+                    "{}: the filter rejected {point:?}, which satisfies the :pre",
+                    bench.name
+                );
+            };
+            // Points from the proposal distribution itself.
+            for stream in 0..64 {
+                let mut rng = Rng::for_stream(0x5eed, stream);
+                check(
+                    core.args
+                        .iter()
+                        .map(|(_, ty)| Sampler::draw(&mut rng, *ty))
+                        .collect(),
+                );
+            }
+            // Each finite bound and its ±1/±2-ulp neighbours (also rounded to
+            // binary32), with every other variable well inside its range, so
+            // the clause on this variable is the one that decides.
+            let inside: Vec<f64> = ranges.iter().copied().map(interior).collect();
+            for (i, &(lo, hi)) in ranges.iter().enumerate() {
+                for bound in [lo, hi].into_iter().filter(|b| b.is_finite()) {
+                    let near = [
+                        bound.next_down().next_down(),
+                        bound.next_down(),
+                        bound,
+                        bound.next_up(),
+                        bound.next_up().next_up(),
+                    ];
+                    for v in near.into_iter().flat_map(|v| [v, f64::from(v as f32)]) {
+                        let mut point = inside.clone();
+                        point[i] = v;
+                        check(point);
+                    }
+                }
+            }
+        }
+        assert!(
+            with_pre >= 70,
+            "only {with_pre} corpus benchmarks have a :pre"
+        );
+        assert!(rejected > 4000, "only {rejected} points were rejected");
+    }
+
+    #[test]
+    fn range_filter_leaves_samples_and_errors_unchanged() {
+        let config = crate::Config::fast();
+        // `pendulum-period` and `doppler-shift` fail sampling after the full
+        // attempt budget; `triangle-area-heron` has clauses that are not
+        // ranges, which only Rival decides.
+        for name in [
+            "pendulum-period",
+            "triangle-area-heron",
+            "sqrt-add-one-minus-sqrt",
+            "doppler-shift",
+        ] {
+            let core = benchsuite::corpus::by_name(name).unwrap().fpcore();
+            let unbounded = vec![(f64::NEG_INFINITY, f64::INFINITY); core.args.len()];
+            let mut filtered = Sampler::new(config.seed);
+            let mut reference = Sampler::new(config.seed);
+            // Two calls each: the second starts where the first's attempts
+            // ended, so the attempt counts must agree too.
+            for _ in 0..2 {
+                assert_eq!(
+                    filtered.sample(&core, config.train_points, config.test_points),
+                    reference.sample_within(
+                        &core,
+                        config.train_points,
+                        config.test_points,
+                        &unbounded
+                    ),
+                    "{name}"
+                );
+                assert_eq!(filtered.next_stream, reference.next_stream, "{name}");
+            }
+        }
+        // One-sided bounds, a literal on the left, and binary32 points.
+        let one_sided = parse_fpcore(
+            "(FPCore ((! :precision binary32 x) y) \
+             :pre (and (> x 1e-30) (<= 0.5 y)) (/ (sqrt x) y))",
+        )
+        .unwrap();
+        assert_eq!(
+            Sampler::new(4).sample(&one_sided, 12, 16),
+            Sampler::new(4).sample_within(
+                &one_sided,
+                12,
+                16,
+                &[(f64::NEG_INFINITY, f64::INFINITY); 2]
+            )
+        );
     }
 
     #[test]

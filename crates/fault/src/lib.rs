@@ -431,6 +431,9 @@ mod tests {
 
     #[test]
     fn unarmed_points_are_inert() {
+        // Hold the install lock so no concurrently running test arms a plan
+        // (and has one of these hits fire, or stall, its faults).
+        let _exclusive = INSTALL.lock().unwrap_or_else(PoisonError::into_inner);
         for site in SITES {
             assert!(!point(site));
         }
@@ -550,23 +553,22 @@ mod tests {
     #[test]
     fn stall_faults_block_until_disarm_and_fire_exactly_once() {
         let armed = install(FaultPlan::new().arm("store.read", FaultAction::Stall, 0));
-        let stalled = std::thread::spawn(|| {
-            let start = std::time::Instant::now();
-            let aborted = point("store.read");
-            (aborted, start.elapsed())
-        });
-        // Give the thread time to reach the stall, then prove the *second*
-        // hit passes while the first is still stuck.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let start = std::time::Instant::now();
+        let stalled = std::thread::spawn(|| point("store.read"));
+        // Wait for the thread's hit to fire the stall; the bound only turns
+        // a broken stall into a failure instead of a hang.
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while armed.fires() == 0 {
+            assert!(std::time::Instant::now() < give_up, "the stall never fired");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // The stall fired exactly once: the *second* hit passes while the
+        // first is still stuck, and only the disarm releases it.
         assert!(!point("store.read"), "later hits pass");
-        assert!(start.elapsed() < std::time::Duration::from_millis(20));
-        assert!(!stalled.is_finished(), "the stalled hit is still blocked");
         assert_eq!(armed.fires(), 1);
+        assert!(!stalled.is_finished(), "the stalled hit is still blocked");
         drop(armed);
-        let (aborted, held) = stalled.join().expect("stalled thread must not panic");
+        let aborted = stalled.join().expect("stalled thread must not panic");
         assert!(!aborted, "a released stall proceeds normally");
-        assert!(held >= std::time::Duration::from_millis(50));
     }
 
     #[test]

@@ -12,12 +12,29 @@
 //!
 //! `let` bindings are eliminated by substitution at parse time, since the rest of
 //! the compiler works on pure expression trees.
+//!
+//! Input deeper than [`MAX_DEPTH`] is a [`ParseError`], so no untrusted text can
+//! drive this parser, or any recursive pass after it, into a stack overflow.
 
 use crate::ast::{Expr, FPCore, RealOp};
 use crate::constant::Constant;
 use crate::symbol::Symbol;
 use crate::types::FpType;
 use std::fmt;
+
+/// The deepest nesting the parser accepts: lists inside lists in the text
+/// (the `(FPCore ...)` form itself is depth 1), and the depth of any
+/// expression tree a `let` substitution or a variadic fold such as
+/// `(+ a b c ...)` produces.
+///
+/// Parsing, canonicalization, hashing, lowering, Rival, the e-graph and the
+/// printer all recurse over the expression tree, and a stack overflow aborts
+/// the process rather than unwinding. Spawned threads, such as the compile
+/// daemon's connection and worker threads, get 2 MiB stacks; in an
+/// unoptimized build a compile request through the daemon first overflows
+/// one between 256 and 512 levels, so this limit leaves at least a factor of
+/// two. The deepest benchmark in the corpus nests 8 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// An error produced while parsing FPCore text.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -52,6 +69,8 @@ enum Sexpr {
 struct Lexer<'a> {
     text: &'a [u8],
     pos: usize,
+    /// How many lists enclose the datum being parsed.
+    depth: usize,
 }
 
 impl<'a> Lexer<'a> {
@@ -59,6 +78,7 @@ impl<'a> Lexer<'a> {
         Lexer {
             text: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -86,18 +106,23 @@ impl<'a> Lexer<'a> {
         match self.peek() {
             None => Err(ParseError::new("unexpected end of input")),
             Some(b'(') | Some(b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(depth_error());
+                }
                 let close = if self.text[self.pos] == b'(' {
                     b')'
                 } else {
                     b']'
                 };
                 self.pos += 1;
+                self.depth += 1;
                 let mut items = Vec::new();
                 loop {
                     match self.peek() {
                         None => return Err(ParseError::new("unterminated list")),
                         Some(b) if b == close => {
                             self.pos += 1;
+                            self.depth -= 1;
                             return Ok(Sexpr::List(items));
                         }
                         Some(b')') | Some(b']') => {
@@ -138,6 +163,18 @@ impl<'a> Lexer<'a> {
 
     fn at_end(&mut self) -> bool {
         self.peek().is_none()
+    }
+}
+
+fn depth_error() -> ParseError {
+    ParseError::new(format!("nesting deeper than {MAX_DEPTH} levels"))
+}
+
+fn check_depth(expr: &Expr) -> Result<(), ParseError> {
+    if expr.depth() > MAX_DEPTH {
+        Err(depth_error())
+    } else {
+        Ok(())
     }
 }
 
@@ -198,6 +235,7 @@ fn expr_from_sexpr(sexpr: &Sexpr) -> Result<Expr, ParseError> {
                                 for (prev_name, prev_value) in &parsed {
                                     value = value.substitute(*prev_name, prev_value);
                                 }
+                                check_depth(&value)?;
                                 parsed.push((name, value));
                             }
                             _ => return Err(ParseError::new("malformed let binding")),
@@ -206,6 +244,9 @@ fn expr_from_sexpr(sexpr: &Sexpr) -> Result<Expr, ParseError> {
                     for (name, value) in parsed.iter().rev() {
                         body = body.substitute(*name, value);
                     }
+                    // Substitution nests each value where its name was, so a
+                    // chain of shallow bindings can build a deep tree.
+                    check_depth(&body)?;
                     Ok(body)
                 }
                 "-" if rest.len() == 1 => Ok(Expr::un(RealOp::Neg, expr_from_sexpr(&rest[0])?)),
@@ -214,8 +255,17 @@ fn expr_from_sexpr(sexpr: &Sexpr) -> Result<Expr, ParseError> {
                     let op = RealOp::from_name(head).expect("known variadic operator");
                     let mut iter = rest.iter();
                     let mut acc = expr_from_sexpr(iter.next().expect("nonempty"))?;
+                    // Each step nests the accumulator one level deeper, so a
+                    // long flat list would fold into a tree as deep as it is
+                    // long; track the depth and stop at the cap.
+                    let mut depth = acc.depth();
                     for arg in iter {
-                        acc = Expr::bin(op, acc, expr_from_sexpr(arg)?);
+                        let arg = expr_from_sexpr(arg)?;
+                        depth = depth.max(arg.depth()) + 1;
+                        if depth > MAX_DEPTH {
+                            return Err(depth_error());
+                        }
+                        acc = Expr::bin(op, acc, arg);
                     }
                     Ok(acc)
                 }
@@ -462,6 +512,45 @@ mod tests {
         assert!(parse_expr("(sqrt x y)").is_err());
         assert!(parse_fpcore("(NotFPCore (x) x)").is_err());
         assert!(parse_expr("(+ x 1) junk").is_err());
+    }
+
+    /// `(FPCore (x) (+ x (+ x ... x)))` with `lists` levels of list nesting.
+    fn nested_core(lists: usize) -> String {
+        let adds = lists - 1;
+        format!("(FPCore (x) {}x{})", "(+ x ".repeat(adds), ")".repeat(adds))
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let core = parse_fpcore(&nested_core(MAX_DEPTH)).unwrap();
+        assert_eq!(core.body.depth(), MAX_DEPTH);
+        for lists in [MAX_DEPTH + 1, 5_000, 1_000_000] {
+            let err = parse_fpcore(&nested_core(lists)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper"), "{err}");
+        }
+        assert!(parse_expr(&"(".repeat(1_000_000)).is_err());
+        // A chain of shallow `let*` bindings substitutes into a deep tree.
+        let bindings: String = (1..=MAX_DEPTH)
+            .map(|i| format!("(a{i} (+ a{} 1))", i - 1))
+            .collect();
+        let chain = format!("(FPCore (a0) (let* ({bindings}) a{MAX_DEPTH}))");
+        let err = parse_fpcore(&chain).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+
+        // So does a flat variadic form: `(+ x ... x)` with n arguments folds
+        // into a tree n deep.
+        let sum = |n: usize| format!("(FPCore (x) (+{}))", " x".repeat(n));
+        let pre = |n: usize| format!("(FPCore (x) :pre (and{}) x)", " (< x 1)".repeat(n));
+        let core = parse_fpcore(&sum(MAX_DEPTH)).unwrap();
+        assert_eq!(core.body.depth(), MAX_DEPTH);
+        let core = parse_fpcore(&pre(MAX_DEPTH - 1)).unwrap();
+        assert_eq!(core.pre.unwrap().depth(), MAX_DEPTH);
+        for n in [MAX_DEPTH + 1, 5_000] {
+            for text in [sum(n), pre(n)] {
+                let err = parse_fpcore(&text).unwrap_err();
+                assert!(err.to_string().contains("nesting deeper"), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -82,11 +82,16 @@ impl Rational {
         self.num < 0
     }
 
-    /// Nearest `f64` (correct to within one rounding of the division).
+    /// An `f64` near the value: `num as f64 / den as f64`.
+    ///
+    /// Correctly rounded when |num| and den are both at most 2^53 (the
+    /// division is then the only rounding). Above that, each part is rounded
+    /// before the division too: three roundings, each within 2^-53 relative,
+    /// so the result can be about 3 ulps from the value rather than within
+    /// one.
+    /// That is acceptable for display and for sampling hints; ground-truth
+    /// evaluation converts rationals through the big-float layer instead.
     pub fn to_f64(&self) -> f64 {
-        // Exact when both parts convert exactly; otherwise one extra rounding,
-        // which is acceptable for display and for sampling hints. Ground-truth
-        // evaluation converts rationals through the big-float layer instead.
         self.num as f64 / self.den as f64
     }
 

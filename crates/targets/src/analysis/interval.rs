@@ -33,7 +33,7 @@ use crate::analysis::dataflow::{solve, Analysis};
 use crate::compile::{Instr, Program};
 use crate::operator::Impl;
 use crate::target::Target;
-use fpcore::{Expr, RealOp, Symbol};
+use fpcore::{Constant, Expr, RealOp, Symbol};
 
 /// What is known about one register at one program point: a closed interval
 /// covering every non-NaN value it can hold, and whether it can be NaN.
@@ -527,6 +527,12 @@ pub fn interval_analysis(
 /// [`interval_analysis`] takes. Anything else is ignored (the variable keeps
 /// no domain, i.e. ⊤), which is always sound. Contradictory bounds are
 /// dropped: a domain that never samples supports no claim.
+///
+/// Each range is a closed superset of the variable's `f64` values that
+/// satisfy the precondition: no `f64` lies between a literal and the bound
+/// it becomes, so an `f64` outside the range falsifies one top-level
+/// conjunct over the reals. The sampler relies on this to reject such points
+/// without asking Rival.
 pub fn domains_from_pre(pre: Option<&Expr>) -> Vec<(Symbol, (f64, f64))> {
     let mut bounds: Vec<(Symbol, (f64, f64))> = Vec::new();
     fn tighten(bounds: &mut Vec<(Symbol, (f64, f64))>, var: Symbol, lo: f64, hi: f64) {
@@ -538,6 +544,27 @@ pub fn domains_from_pre(pre: Option<&Expr>) -> Vec<(Symbol, (f64, f64))> {
             None => bounds.push((var, (lo, hi))),
         }
     }
+    /// A lower and an upper bound for a literal, with no `f64` strictly
+    /// between either and the literal. A correctly rounded conversion serves
+    /// as both: `PI`, `E`, and a rational whose parts are at most 2^53. A
+    /// larger part makes `to_f64` round three times, each within 2^-53
+    /// relative, about 3 ulps in all; every ulp step is at least 2^-53
+    /// relative, so 4 steps outward are past the literal.
+    fn bracket(c: &Constant) -> (f64, f64) {
+        let x = c.to_f64();
+        match c {
+            Constant::Rational(r)
+                if r.numerator().unsigned_abs() > 1 << 53 || r.denominator() > 1 << 53 =>
+            {
+                let (mut lo, mut hi) = (x, x);
+                for _ in 0..4 {
+                    (lo, hi) = (lo.next_down(), hi.next_up());
+                }
+                (lo, hi)
+            }
+            _ => (x, x),
+        }
+    }
     fn walk(bounds: &mut Vec<(Symbol, (f64, f64))>, expr: &Expr) {
         match expr {
             Expr::Op(RealOp::And, args) => args.iter().for_each(|a| walk(bounds, a)),
@@ -545,17 +572,13 @@ pub fn domains_from_pre(pre: Option<&Expr>) -> Vec<(Symbol, (f64, f64))> {
                 let inf = f64::INFINITY;
                 // A closed superset interval is sound for strict comparisons.
                 match (op, &args[0], &args[1]) {
-                    (RealOp::Lt | RealOp::Le, Expr::Var(v), Expr::Num(c)) => {
-                        tighten(bounds, *v, -inf, c.to_f64());
+                    (RealOp::Lt | RealOp::Le, Expr::Var(v), Expr::Num(c))
+                    | (RealOp::Gt | RealOp::Ge, Expr::Num(c), Expr::Var(v)) => {
+                        tighten(bounds, *v, -inf, bracket(c).1);
                     }
-                    (RealOp::Gt | RealOp::Ge, Expr::Var(v), Expr::Num(c)) => {
-                        tighten(bounds, *v, c.to_f64(), inf);
-                    }
-                    (RealOp::Lt | RealOp::Le, Expr::Num(c), Expr::Var(v)) => {
-                        tighten(bounds, *v, c.to_f64(), inf);
-                    }
-                    (RealOp::Gt | RealOp::Ge, Expr::Num(c), Expr::Var(v)) => {
-                        tighten(bounds, *v, -inf, c.to_f64());
+                    (RealOp::Gt | RealOp::Ge, Expr::Var(v), Expr::Num(c))
+                    | (RealOp::Lt | RealOp::Le, Expr::Num(c), Expr::Var(v)) => {
+                        tighten(bounds, *v, bracket(c).0, inf);
                     }
                     _ => {}
                 }

@@ -183,3 +183,55 @@ fn interval_analysis_decides_selects_from_domains() {
     let undecided = analysis::interval_analysis(&program, Some(&target), &straddling);
     assert!(undecided.uniform_selects.is_empty());
 }
+
+/// `domains_from_pre` bounds must stay outside their literal even when the
+/// literal's numerator or denominator exceeds 2^53, where `Rational::to_f64`
+/// rounds each part before dividing and can land more than an ulp away. The
+/// sampler rejects points outside these ranges without asking Rival, so an
+/// `f64` just outside a bound must falsify its clause; Rival is the oracle.
+#[test]
+fn domains_from_pre_bounds_exclude_their_literals() {
+    use fpcore::{Constant, Expr, Rational, RealOp};
+    let evaluator = rival::Evaluator::new();
+    let x = Symbol::new("x");
+    let mut rng = Rng::new(0x5EED_2053);
+    let mut checked = 0;
+    while checked < 300 {
+        // Parts of 40 to 100 bits, at least one of them above 2^53.
+        let mut part = || (u128::from(rng.next_u64()) << (rng.below(61) + 40) >> 64) | 1;
+        let (num, den) = (part(), part());
+        if num.max(den) <= 1 << 53 {
+            continue;
+        }
+        let sign = if rng.below(2) == 0 { 1 } else { -1 };
+        let literal = Expr::Num(Constant::Rational(Rational::new(sign * num as i128, den)));
+        for op in [RealOp::Lt, RealOp::Le, RealOp::Gt, RealOp::Ge] {
+            for var_first in [true, false] {
+                let args = if var_first {
+                    vec![Expr::Var(x), literal.clone()]
+                } else {
+                    vec![literal.clone(), Expr::Var(x)]
+                };
+                let clause = Expr::Op(op, args);
+                let domains = analysis::domains_from_pre(Some(&clause));
+                let [(sym, (lo, hi))] = domains[..] else {
+                    panic!("{clause:?} gives one domain, got {domains:?}");
+                };
+                assert_eq!(sym, x);
+                let outside = if lo.is_finite() {
+                    [lo.next_down(), lo.next_down().next_down()]
+                } else {
+                    [hi.next_up(), hi.next_up().next_up()]
+                };
+                for v in outside {
+                    assert_eq!(
+                        evaluator.eval_bool(&clause, &[(x, v)]),
+                        Some(false),
+                        "{v:e} lies outside [{lo:e}, {hi:e}] but satisfies {clause:?}"
+                    );
+                }
+            }
+        }
+        checked += 1;
+    }
+}

@@ -739,3 +739,43 @@ fn a_flooding_client_that_disconnects_frees_the_daemon_for_others() {
     );
     handle.stop();
 }
+
+/// `(FPCore (x) (+ x (+ x ... x)))` with `lists` levels of list nesting.
+fn nested_core(lists: usize) -> String {
+    let adds = lists - 1;
+    format!("(FPCore (x) {}x{})", "(+ x ".repeat(adds), ")".repeat(adds))
+}
+
+#[test]
+fn a_deeply_nested_fpcore_gets_a_typed_400_and_the_daemon_survives() {
+    let _plan = fault::install(fault::FaultPlan::new());
+    let handle = start(small_server(None)).unwrap();
+    let addr = handle.addr();
+
+    // About 30 KB, far under the body cap, but nested 5000 deep: recursing
+    // over it would overflow a connection thread's stack and abort the
+    // process. The parser's depth cap turns it into a typed 400 instead.
+    let deep = compile_request(&nested_core(5_000), "c99", 1);
+    assert!(deep.len() > 30_000);
+    // Flat variadic forms fold into trees as deep as they are long: a
+    // 5000-argument sum, and a 5000-conjunct precondition.
+    let flat_sum = format!("(FPCore (x) (+{}))", " x".repeat(5_000));
+    let flat_pre = format!("(FPCore (x) :pre (and{}) x)", " (< x 1)".repeat(5_000));
+    for body in [
+        deep,
+        compile_request(&flat_sum, "c99", 1),
+        compile_request(&flat_pre, "c99", 1),
+    ] {
+        let (status, doc) = post_compile(addr, &body);
+        assert_eq!(status, 400, "{doc}");
+        assert_eq!(kind_of(&doc), "bad-request");
+        assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+    }
+
+    // An expression exactly at the cap still compiles end to end.
+    let at_cap = compile_request(&nested_core(fpcore::parser::MAX_DEPTH), "c99", 1);
+    let (status, doc) = post_compile(addr, &at_cap);
+    assert_eq!(status, 200, "{doc}");
+    assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+    handle.stop();
+}
