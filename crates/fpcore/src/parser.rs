@@ -14,7 +14,9 @@
 //! the compiler works on pure expression trees.
 //!
 //! Input deeper than [`MAX_DEPTH`] is a [`ParseError`], so no untrusted text can
-//! drive this parser, or any recursive pass after it, into a stack overflow.
+//! drive this parser, or any recursive pass after it, into a stack overflow; a
+//! `let` substitution larger than [`MAX_NODES`] is one too, so no short text
+//! can expand into an exponentially large tree.
 
 use crate::ast::{Expr, FPCore, RealOp};
 use crate::constant::Constant;
@@ -35,6 +37,17 @@ use std::fmt;
 /// one between 256 and 512 levels, so this limit leaves at least a factor of
 /// two. The deepest benchmark in the corpus nests 8 levels.
 pub const MAX_DEPTH: usize = 128;
+
+/// The most nodes a `let` substitution may produce.
+///
+/// Substitution copies a binding's value into every place its name occurs, so
+/// a `let*` chain whose bindings each name the previous one twice,
+/// `(a1 (+ a0 a0)) (a2 (+ a1 a1)) ...`, doubles the tree with each binding
+/// while its depth stays small: 22 such bindings, under 400 bytes of text,
+/// would expand to 8.4 million nodes, and a few more would exhaust memory.
+/// The parser computes each substitution's size before building it. The
+/// largest benchmark in the corpus has 79 nodes, `:pre` included.
+pub const MAX_NODES: usize = 10_000;
 
 /// An error produced while parsing FPCore text.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -170,12 +183,53 @@ fn depth_error() -> ParseError {
     ParseError::new(format!("nesting deeper than {MAX_DEPTH} levels"))
 }
 
-fn check_depth(expr: &Expr) -> Result<(), ParseError> {
-    if expr.depth() > MAX_DEPTH {
-        Err(depth_error())
-    } else {
-        Ok(())
+/// `expr` with `value` in place of every occurrence of `name`, refused before
+/// it is built if it would have more than [`MAX_NODES`] nodes or be deeper
+/// than [`MAX_DEPTH`]. Both operands must already be within [`MAX_DEPTH`].
+fn substitute(expr: Expr, name: Symbol, value: &Expr) -> Result<Expr, ParseError> {
+    /// Counts the occurrences of `name` below `e`, at `level` (the root is 1),
+    /// and tracks the deepest level of any.
+    fn find(e: &Expr, name: Symbol, level: usize, count: &mut usize, deepest: &mut usize) {
+        match e {
+            Expr::Num(_) => {}
+            Expr::Var(v) => {
+                if *v == name {
+                    *count += 1;
+                    *deepest = (*deepest).max(level);
+                }
+            }
+            Expr::Op(_, args) => {
+                for arg in args {
+                    find(arg, name, level + 1, count, deepest);
+                }
+            }
+            Expr::If(c, t, el) => {
+                for arg in [c, t, el] {
+                    find(arg, name, level + 1, count, deepest);
+                }
+            }
+        }
     }
+    let (mut count, mut deepest) = (0, 0);
+    find(&expr, name, 1, &mut count, &mut deepest);
+    if count == 0 {
+        return Ok(expr);
+    }
+    // Each occurrence, one node, becomes a copy of `value`, so a chain of
+    // shallow bindings can build a large or a deep tree.
+    if count
+        .saturating_mul(value.size() - 1)
+        .saturating_add(expr.size())
+        > MAX_NODES
+    {
+        return Err(ParseError::new(format!(
+            "let substitution larger than {MAX_NODES} nodes"
+        )));
+    }
+    if deepest + value.depth() - 1 > MAX_DEPTH {
+        return Err(depth_error());
+    }
+    Ok(expr.substitute(name, value))
 }
 
 fn expr_from_sexpr(sexpr: &Sexpr) -> Result<Expr, ParseError> {
@@ -216,9 +270,6 @@ fn expr_from_sexpr(sexpr: &Sexpr) -> Result<Expr, ParseError> {
                     let Sexpr::List(bindings) = &rest[0] else {
                         return Err(ParseError::new("let bindings must be a list"));
                     };
-                    let mut body = expr_from_sexpr(&rest[1])?;
-                    // Substitute bindings in reverse so later bindings may refer to
-                    // earlier ones (let* semantics, a superset of let for the corpus).
                     let mut parsed: Vec<(Symbol, Expr)> = Vec::new();
                     for b in bindings {
                         match b {
@@ -231,22 +282,19 @@ fn expr_from_sexpr(sexpr: &Sexpr) -> Result<Expr, ParseError> {
                                         ))
                                     }
                                 };
-                                let mut value = expr_from_sexpr(&pair[1])?;
-                                for (prev_name, prev_value) in &parsed {
-                                    value = value.substitute(*prev_name, prev_value);
-                                }
-                                check_depth(&value)?;
-                                parsed.push((name, value));
+                                parsed.push((name, expr_from_sexpr(&pair[1])?));
                             }
                             _ => return Err(ParseError::new("malformed let binding")),
                         }
                     }
+                    // Expand as nested lets, innermost first (let* semantics, a
+                    // superset of let for the corpus): a binding's value may name
+                    // earlier bindings, which later steps substitute, and names
+                    // it takes from outside the `let` are never bound by them.
+                    let mut body = expr_from_sexpr(&rest[1])?;
                     for (name, value) in parsed.iter().rev() {
-                        body = body.substitute(*name, value);
+                        body = substitute(body, *name, value)?;
                     }
-                    // Substitution nests each value where its name was, so a
-                    // chain of shallow bindings can build a deep tree.
-                    check_depth(&body)?;
                     Ok(body)
                 }
                 "-" if rest.len() == 1 => Ok(Expr::un(RealOp::Neg, expr_from_sexpr(&rest[0])?)),
@@ -474,6 +522,38 @@ mod tests {
     }
 
     #[test]
+    fn let_star_values_keep_outer_names() {
+        // `z` in `x`'s value is the outer `z`, not the binding after it.
+        let e = parse_expr("(let* ((x (+ z 1)) (z 5) (w (* x z))) w)").unwrap();
+        assert_eq!(e, parse_expr("(* (+ z 1) 5)").unwrap());
+    }
+
+    #[test]
+    fn let_substitution_is_capped_at_max_nodes() {
+        // `(let* ((a1 (+ a0 a0)) ... (an (+ a(n-1) a(n-1)))) an)` expands to
+        // 2^(n+1) - 1 nodes.
+        let bindings = |n: usize| -> String {
+            (1..=n)
+                .map(|i| format!("(a{i} (+ a{0} a{0}))", i - 1))
+                .collect()
+        };
+        let doubling = |n: usize| format!("(FPCore (a0) (let* ({}) a{n}))", bindings(n));
+        let largest = (MAX_NODES + 1).ilog2() as usize - 1;
+        let core = parse_fpcore(&doubling(largest)).unwrap();
+        assert_eq!(core.body.size(), (1 << (largest + 1)) - 1);
+        for n in [largest + 1, 22, 30, 60] {
+            let err = parse_fpcore(&doubling(n)).unwrap_err();
+            assert!(err.to_string().contains("larger than"), "{err}");
+        }
+        // The cap holds wherever the copies land: four uses of the largest
+        // chain's value are over it.
+        let a = format!("a{largest}");
+        let text = format!("(let* ({}) (+ (+ {a} {a}) (+ {a} {a})))", bindings(largest));
+        let err = parse_expr(&text).unwrap_err();
+        assert!(err.to_string().contains("larger than"), "{err}");
+    }
+
+    #[test]
     fn parses_full_fpcore() {
         let src = r#"
             (FPCore (a b c)
@@ -530,11 +610,25 @@ mod tests {
         }
         assert!(parse_expr(&"(".repeat(1_000_000)).is_err());
         // A chain of shallow `let*` bindings substitutes into a deep tree.
-        let bindings: String = (1..=MAX_DEPTH)
-            .map(|i| format!("(a{i} (+ a{} 1))", i - 1))
-            .collect();
-        let chain = format!("(FPCore (a0) (let* ({bindings}) a{MAX_DEPTH}))");
-        let err = parse_fpcore(&chain).unwrap_err();
+        let chain = |n: usize| {
+            let bindings: String = (1..=n)
+                .map(|i| format!("(a{i} (+ a{} 1))", i - 1))
+                .collect();
+            format!("(FPCore (a0) (let* ({bindings}) a{n}))")
+        };
+        let core = parse_fpcore(&chain(MAX_DEPTH - 1)).unwrap();
+        assert_eq!(core.body.depth(), MAX_DEPTH);
+        let err = parse_fpcore(&chain(MAX_DEPTH)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+        // The deepest occurrence counts, wherever it is: `a` is 30 levels
+        // down in one operand and right below the root in the other.
+        let value = format!("{}x{}", "(+ x ".repeat(99), ")".repeat(99));
+        let text = format!(
+            "(let ((a {value})) (+ {}a{} a))",
+            "(- ".repeat(30),
+            ")".repeat(30)
+        );
+        let err = parse_expr(&text).unwrap_err();
         assert!(err.to_string().contains("nesting deeper"), "{err}");
 
         // So does a flat variadic form: `(+ x ... x)` with n arguments folds

@@ -2,8 +2,8 @@
 //!
 //! Only the operations the big-float layer needs are provided: addition,
 //! subtraction, schoolbook multiplication, shifts, comparison, bit access and
-//! binary long division. Magnitudes are stored as little-endian `u64` limbs with
-//! no leading zero limb.
+//! word-level long division (Knuth's Algorithm D). Magnitudes are stored as
+//! little-endian `u64` limbs with no leading zero limb.
 
 use std::cmp::Ordering;
 
@@ -238,7 +238,12 @@ impl BigUint {
         Ordering::Equal
     }
 
-    /// Binary long division; returns `(quotient, remainder)`.
+    /// Long division; returns `(quotient, remainder)`.
+    ///
+    /// Works a limb at a time: a one-limb divisor takes a single pass of
+    /// `u128 / u64` steps, and a longer one uses Knuth's Algorithm D (TAOCP
+    /// vol. 2, §4.3.1), which estimates each quotient limb from the top limbs of
+    /// the normalized divisor and corrects an overestimate by adding back.
     ///
     /// # Panics
     ///
@@ -248,24 +253,89 @@ impl BigUint {
         if self.cmp_mag(divisor) == Ordering::Less {
             return (BigUint::zero(), self.clone());
         }
-        let shift = self.bit_length() - divisor.bit_length();
-        let mut remainder = self.clone();
-        let mut quotient_bits: Vec<u64> = vec![0; (shift / 64 + 1) as usize];
-        let mut current = divisor.shl(shift);
-        let mut bit = shift as i64;
-        while bit >= 0 {
-            if remainder.cmp_mag(&current) != Ordering::Less {
-                remainder = remainder.sub(&current);
-                quotient_bits[(bit / 64) as usize] |= 1u64 << (bit % 64);
+        if let [d] = divisor.limbs[..] {
+            let d = u128::from(d);
+            let mut quotient = vec![0u64; self.limbs.len()];
+            let mut rem = 0u128;
+            for (q, &n) in quotient.iter_mut().zip(&self.limbs).rev() {
+                let cur = (rem << 64) | u128::from(n);
+                // `rem < d`, so the quotient limb fits in a `u64`.
+                *q = (cur / d) as u64;
+                rem = cur % d;
             }
-            current = current.shr(1);
-            bit -= 1;
+            let mut q = BigUint { limbs: quotient };
+            q.normalize();
+            return (q, BigUint::from_u128(rem));
         }
-        let mut q = BigUint {
-            limbs: quotient_bits,
-        };
+        self.div_rem_knuth(divisor)
+    }
+
+    /// Algorithm D for a divisor of at least two limbs, with `self >= divisor`.
+    fn div_rem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
+        // D1: shift both operands so the divisor's top bit is set; each
+        // quotient-limb estimate is then at most two too large.
+        let shift = u64::from(divisor.limbs.last().expect("nonzero").leading_zeros());
+        let v = divisor.shl(shift).limbs;
+        let mut u = self.shl(shift).limbs;
+        u.resize(self.limbs.len() + 1, 0);
+        let n = v.len();
+        let (v_top, v_next) = (u128::from(v[n - 1]), u128::from(v[n - 2]));
+        let mut quotient = vec![0u64; u.len() - n];
+        // D2–D7: the window `u[j..=j + n]` is below `b · v` (b = 2^64), so it
+        // yields one quotient limb.
+        for j in (0..quotient.len()).rev() {
+            // D3: estimate from the window's top two limbs, then refine with the
+            // divisor's second limb until the estimate is below `b` and at most
+            // one too large.
+            let top = (u128::from(u[j + n]) << 64) | u128::from(u[j + n - 1]);
+            let mut q_hat = top / v_top;
+            let mut r_hat = top % v_top;
+            while q_hat > u128::from(u64::MAX)
+                || q_hat * v_next > ((r_hat << 64) | u128::from(u[j + n - 2]))
+            {
+                q_hat -= 1;
+                r_hat += v_top;
+                if r_hat > u128::from(u64::MAX) {
+                    break;
+                }
+            }
+            let mut q_hat = q_hat as u64;
+            // D4: subtract `q_hat · v` from the window.
+            let mut carry = 0u64;
+            let mut borrow = false;
+            for (i, &vi) in v.iter().enumerate() {
+                let p = u128::from(q_hat) * u128::from(vi) + u128::from(carry);
+                carry = (p >> 64) as u64;
+                let (d1, b1) = u[j + i].overflowing_sub(p as u64);
+                let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+                u[j + i] = d2;
+                borrow = b1 || b2;
+            }
+            let (d1, b1) = u[j + n].overflowing_sub(carry);
+            let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+            u[j + n] = d2;
+            // D6: the window went negative, so `q_hat` was one too large; add
+            // `v` back, dropping the carry out of the top limb.
+            if b1 || b2 {
+                q_hat -= 1;
+                let mut carry = false;
+                for (i, &vi) in v.iter().enumerate() {
+                    let (s1, c1) = u[j + i].overflowing_add(vi);
+                    let (s2, c2) = s1.overflowing_add(u64::from(carry));
+                    u[j + i] = s2;
+                    carry = c1 || c2;
+                }
+                u[j + n] = u[j + n].wrapping_add(u64::from(carry));
+            }
+            quotient[j] = q_hat;
+        }
+        let mut q = BigUint { limbs: quotient };
         q.normalize();
-        (q, remainder)
+        // D8: the remainder is the low `n` limbs, shifted back.
+        u.truncate(n);
+        let mut r = BigUint { limbs: u };
+        r.normalize();
+        (q, r.shr(shift))
     }
 
     /// Integer square root (floor), via Newton's method.
@@ -406,6 +476,79 @@ mod tests {
         let (q, r) = big(5).div_rem(&big(100));
         assert!(q.is_zero());
         assert_eq!(r, big(5));
+    }
+
+    fn from_limbs(limbs: &[u64]) -> BigUint {
+        let mut v = BigUint {
+            limbs: limbs.to_vec(),
+        };
+        v.normalize();
+        v
+    }
+
+    /// SplitMix64 step, the workspace's standard seeded generator.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Half the limbs are uniform, half are edge values for carries and
+    /// quotient-limb estimates.
+    fn draw_limb(state: &mut u64) -> u64 {
+        const EDGES: [u64; 6] = [0, 1, (1 << 63) - 1, 1 << 63, u64::MAX - 1, u64::MAX];
+        let r = splitmix64(state);
+        if r & 1 == 0 {
+            EDGES[(r >> 1) as usize % EDGES.len()]
+        } else {
+            splitmix64(state)
+        }
+    }
+
+    fn assert_division(n: &BigUint, d: &BigUint) -> (BigUint, BigUint) {
+        let (q, r) = n.div_rem(d);
+        assert_eq!(&q.mul(d).add(&r), n, "q·d + r != n for {n:?} / {d:?}");
+        assert_eq!(r.cmp_mag(d), Ordering::Less, "r >= d for {n:?} / {d:?}");
+        // Equality and `bit_length` rely on normalized limbs.
+        assert_ne!(q.limbs.last(), Some(&0));
+        assert_ne!(r.limbs.last(), Some(&0));
+        (q, r)
+    }
+
+    #[test]
+    fn division_matches_its_definition_on_seeded_operands() {
+        let mut state = 0x5eed_d1f1;
+        for shift in 0..64 {
+            for d_len in 1..=6 {
+                for n_len in 1..=8 {
+                    for _ in 0..2 {
+                        let n: Vec<u64> = (0..n_len).map(|_| draw_limb(&mut state)).collect();
+                        let mut d: Vec<u64> = (0..d_len).map(|_| draw_limb(&mut state)).collect();
+                        // Pin the divisor's top limb to exactly `shift` leading
+                        // zeros, so every normalization shift occurs.
+                        d[d_len - 1] = (d[d_len - 1] >> shift) | (1 << (63 - shift));
+                        let d = from_limbs(&d);
+                        assert_eq!(d.limbs.last().unwrap().leading_zeros(), shift);
+                        assert_division(&from_limbs(&n), &d);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn division_reaches_the_add_back_step() {
+        const HALF: u64 = 1 << 63;
+        let (q, _) = assert_division(
+            &from_limbs(&[0, 0, HALF, HALF - 1]),
+            &from_limbs(&[1, 0, HALF]),
+        );
+        assert_eq!(q, BigUint::from_u64(u64::MAX - 1));
+        let (q, r) = assert_division(&from_limbs(&[3, 0, HALF]), &from_limbs(&[1, 0, 1 << 61]));
+        assert_eq!(q, BigUint::from_u64(3));
+        assert_eq!(r, BigUint::one().shl(189));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! * rewriting through the e-graph preserves the desugaring (real semantics),
 //!   which is Chassis' central correctness property,
 //! * ULP distance behaves like a metric on floats,
-//! * the Pareto frontier never keeps a dominated point.
+//! * the Pareto frontier never keeps a dominated point,
+//! * Rival's ground truth over the corpus matches a pinned digest.
 //!
 //! Cases are generated from the workspace's own deterministic RNG
 //! ([`chassis::rng::Rng`]) rather than proptest (unavailable offline), so every
@@ -15,8 +16,9 @@ use chassis::pareto::ParetoFrontier;
 use chassis::rng::Rng;
 use chassis::{Config, Session};
 use fpcore::eval::{env_from, eval_f64};
+use fpcore::hash::ContentHasher;
 use fpcore::{Expr, FpType, RealOp, Symbol};
-use rival::{ground_truth, GroundTruth};
+use rival::{ground_truth, Evaluator, GroundTruth};
 use std::collections::HashMap;
 use targets::{builtin, eval_float_expr_in};
 
@@ -166,4 +168,80 @@ fn compiled_programs_preserve_the_desugaring() {
             assert!(rel < 1e-6, "{} gives {out}, truth {truth}", imp.rendered);
         }
     }
+}
+
+/// A point coordinate from the sampler's proposal mix: a quarter uniform over
+/// finite bit patterns, a quarter in [-1e3, 1e3], half log-uniform in
+/// magnitude over [1e-6, 1e6). A copy rather than a call, so that a sampler
+/// change cannot move the digest below.
+fn arb_coordinate(rng: &mut Rng, ty: FpType) -> f64 {
+    let value = match rng.below(4) {
+        0 => loop {
+            let v = f64::from_bits(rng.next_u64());
+            if v.is_finite() {
+                break v;
+            }
+        },
+        1 => rng.range_f64(-1e3, 1e3),
+        _ => {
+            let sign = if rng.below(4) == 0 { -1.0 } else { 1.0 };
+            sign * 10f64.powf(rng.range_f64(-6.0, 6.0))
+        }
+    };
+    match ty {
+        FpType::Binary32 => f64::from(value as f32),
+        _ => value,
+    }
+}
+
+/// Rival's answers, pinned below the search: the correctly rounded body and
+/// the decided `:pre` of every corpus benchmark at eight seeded points (drawn
+/// without regard to the `:pre`), hashed into one digest. Integer division,
+/// the big-float operations and the interval layer all feed it, so a kernel
+/// change that alters any truth fails here before it reaches a frontier.
+#[test]
+fn corpus_ground_truth_digest_is_pinned() {
+    const POINTS: u64 = 8;
+    let evaluator = Evaluator::new();
+    let mut hasher = ContentHasher::new();
+    let mut tally = [0usize; 3];
+    for (index, bench) in (0u64..).zip(benchsuite::all()) {
+        let core = bench.fpcore();
+        hasher.str(bench.name);
+        for point in 0..POINTS {
+            let mut rng = Rng::for_stream(0x6007_7207, index * POINTS + point);
+            let env: Vec<(Symbol, f64)> = core
+                .args
+                .iter()
+                .map(|&(name, ty)| (name, arb_coordinate(&mut rng, ty)))
+                .collect();
+            match evaluator.eval(&core.body, &env, core.precision) {
+                GroundTruth::Value(v) => {
+                    tally[0] += 1;
+                    hasher.u64(0);
+                    hasher.f64(v);
+                }
+                GroundTruth::Nan => {
+                    tally[1] += 1;
+                    hasher.u64(1);
+                }
+                GroundTruth::Unsamplable => {
+                    tally[2] += 1;
+                    hasher.u64(2);
+                }
+            }
+            if let Some(pre) = &core.pre {
+                hasher.u64(match evaluator.eval_bool(pre, &env) {
+                    Some(false) => 0,
+                    Some(true) => 1,
+                    None => 2,
+                });
+            }
+        }
+    }
+    assert_eq!(
+        hasher.hex_digest(),
+        "a953a9146dea1d882d10a81d4c43e016",
+        "values/NaN/unsamplable: {tally:?}"
+    );
 }

@@ -779,3 +779,25 @@ fn a_deeply_nested_fpcore_gets_a_typed_400_and_the_daemon_survives() {
     assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
     handle.stop();
 }
+
+#[test]
+fn a_doubling_let_chain_gets_a_typed_400_and_the_daemon_survives() {
+    let _plan = fault::install(fault::FaultPlan::new());
+    let handle = start(small_server(None)).unwrap();
+    let addr = handle.addr();
+
+    // Each binding names the previous one twice, so substitution would double
+    // the tree 30 times: about 2^31 nodes from a 500-byte FPCore, built on
+    // the connection thread before any deadline applies. The parser's node cap
+    // turns it into a typed 400 instead.
+    let bindings: String = (1..=30)
+        .map(|i| format!("(a{i} (+ a{0} a{0}))", i - 1))
+        .collect();
+    let chain = format!("(FPCore (a0) (let* ({bindings}) a30))");
+    let (status, doc) = post_compile(addr, &compile_request(&chain, "c99", 1));
+    assert_eq!(status, 400, "{doc}");
+    assert_eq!(kind_of(&doc), "bad-request");
+    assert!(doc.to_string().contains("larger than"), "{doc}");
+    assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+    handle.stop();
+}
