@@ -11,9 +11,10 @@ use crate::lang::{float_expr_to_rec, ChassisNode};
 use crate::local_error::ScoredSubexpr;
 use crate::rules;
 use crate::typed_extract::TypedExtractor;
-use egraph::{EGraph, Id, NoAnalysis, Runner, RunnerLimits};
+use egraph::{EGraph, Id, Rewrite, Runner, RunnerLimits};
 use fpcore::{FpType, Symbol};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use std::time::Duration;
 use targets::{program_cost, FloatExpr, Target};
 
@@ -82,22 +83,23 @@ pub fn cost_opportunities(
         return Vec::new();
     }
 
-    let mut egraph: EGraph<ChassisNode, NoAnalysis> = EGraph::default();
+    let mut egraph: EGraph<ChassisNode> = EGraph::default();
     let mut roots: Vec<Id> = Vec::with_capacity(subexprs.len());
     for (sub, _) in &subexprs {
         let rec = float_expr_to_rec(sub, target);
         roots.push(egraph.add_expr(&rec));
     }
 
-    let mut rule_set = rules::simplifying_rules::<NoAnalysis>();
-    rule_set.extend(crate::isel::desugaring_rules(target));
     // Strength-reduction shapes whose real-number form grows slightly but whose
     // lowered form does not (the paper's running example: x/y → x·rcp(y)).
-    rule_set.push(rules::rule(
-        "co-div-as-mul-recip",
-        "(/ a b)",
-        "(* a (/ 1 b))",
-    ));
+    static DIV_AS_MUL_RECIP: OnceLock<Rewrite<ChassisNode>> = OnceLock::new();
+    let mut rule_set = rules::simplifying_rules();
+    rule_set.extend(crate::isel::desugaring_rules(target));
+    rule_set.push(
+        DIV_AS_MUL_RECIP
+            .get_or_init(|| rules::rule("co-div-as-mul-recip", "(/ a b)", "(* a (/ 1 b))"))
+            .clone(),
+    );
     let limits = RunnerLimits {
         iter_limit: config.iter_limit,
         node_limit: config.node_limit,

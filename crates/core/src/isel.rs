@@ -15,9 +15,7 @@
 use crate::lang::{expr_to_rec, ChassisNode};
 use crate::rules;
 use crate::typed_extract::TypedExtractor;
-use egraph::{
-    EGraph, Id, NoAnalysis, Pattern, PatternNode, Rewrite, RunReport, Runner, RunnerLimits,
-};
+use egraph::{EGraph, Id, Pattern, PatternNode, Rewrite, RunReport, Runner, RunnerLimits};
 use fpcore::{Expr, FpType, Symbol};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -62,12 +60,12 @@ pub struct IselResult {
 /// The instruction selector for one target.
 pub struct InstructionSelector<'a> {
     target: &'a Target,
-    rules: Vec<Rewrite<ChassisNode, NoAnalysis>>,
+    rules: Vec<Rewrite<ChassisNode>>,
     config: IselConfig,
 }
 
 /// Builds the desugaring rewrites for every operator of a target.
-pub fn desugaring_rules(target: &Target) -> Vec<Rewrite<ChassisNode, NoAnalysis>> {
+pub fn desugaring_rules(target: &Target) -> Vec<Rewrite<ChassisNode>> {
     let mut out = Vec::new();
     for id in target.operator_ids() {
         let op = target.operator(id);
@@ -106,7 +104,7 @@ impl<'a> InstructionSelector<'a> {
     /// Creates a selector for `target` with the full mathematical rule set plus
     /// the target's desugaring rules.
     pub fn new(target: &'a Target, config: IselConfig) -> Self {
-        let mut all_rules = rules::full_rules::<NoAnalysis>();
+        let mut all_rules = rules::full_rules();
         all_rules.extend(desugaring_rules(target));
         InstructionSelector {
             target,
@@ -118,7 +116,7 @@ impl<'a> InstructionSelector<'a> {
     /// A selector that only uses the simplifying rule subset (for the
     /// cost-opportunity analysis).
     pub fn simplifying(target: &'a Target, config: IselConfig) -> Self {
-        let mut all_rules = rules::simplifying_rules::<NoAnalysis>();
+        let mut all_rules = rules::simplifying_rules();
         all_rules.extend(desugaring_rules(target));
         InstructionSelector {
             target,
@@ -141,7 +139,7 @@ impl<'a> InstructionSelector<'a> {
         output: FpType,
     ) -> IselResult {
         let rec = expr_to_rec(expr);
-        let mut egraph: EGraph<ChassisNode, NoAnalysis> = EGraph::default();
+        let mut egraph: EGraph<ChassisNode> = EGraph::default();
         let root = egraph.add_expr(&rec);
         let limits = RunnerLimits {
             iter_limit: self.config.iter_limit,

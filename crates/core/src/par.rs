@@ -101,42 +101,47 @@ where
     if threads <= 1 {
         return serial(0..len);
     }
-    // Chaos harness: an armed abort degrades the fan-out to the serial path,
-    // which is bit-identical by construction.
-    if fault::point("par.spawn") {
+    // Chaos harness: an armed `par.spawn` is a refused spawn. Its abort
+    // returns true, and its panic unwinds here on the calling thread, outside
+    // every job's isolation boundary, so it is caught and means the same:
+    // take the serial path, which is bit-identical by construction.
+    if std::panic::catch_unwind(|| fault::point("par.spawn")).unwrap_or(true) {
         return serial(0..len);
     }
     let chunk_size = len.div_ceil(threads);
-    let (init, f) = (&init, &f);
+    // Catch panics inside a chunk so the *original* payload travels back to
+    // the calling thread (a bare join would lose it to a generic message,
+    // and an unjoined scope thread would abort the scope). The chunk's
+    // partial results are discarded wholesale, so broken invariants cannot
+    // leak: AssertUnwindSafe is sound here.
+    let run = |start: usize, end: usize| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut state = init();
+            (start..end).map(|i| f(&mut state, i)).collect::<Vec<R>>()
+        }))
+    };
+    let run = &run;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..len)
+        let chunks: Vec<_> = (0..len)
             .step_by(chunk_size)
             .map(|start| {
                 let end = (start + chunk_size).min(len);
-                scope.spawn(move || {
-                    IN_PAR_WORKER.with(|w| w.set(true));
-                    // Catch panics inside the worker so the *original* payload
-                    // travels back to the calling thread (a bare join would
-                    // lose it to a generic message at the `expect`, and an
-                    // unjoined scope thread would abort the scope). The
-                    // worker's partial results are discarded wholesale, so
-                    // broken invariants cannot leak: AssertUnwindSafe is
-                    // sound here.
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut state = init();
-                        (start..end).map(|i| f(&mut state, i)).collect::<Vec<R>>()
-                    }))
-                })
+                // A thread the OS refuses is a chunk run inline.
+                spawn_worker(scope, move || run(start, end)).map_err(|_| run(start, end))
             })
             .collect();
         let mut out = Vec::with_capacity(len);
         let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok(results)) => out.extend(results),
-                // First worker panic (in chunk order) wins; keep joining the
+        for chunk in chunks {
+            let joined = match chunk {
+                Ok(handle) => handle.join().unwrap_or_else(Err),
+                Err(inline) => inline,
+            };
+            match joined {
+                Ok(results) => out.extend(results),
+                // First chunk panic (in chunk order) wins; keep joining the
                 // rest so every worker finishes before the payload resumes.
-                Ok(Err(payload)) | Err(payload) => {
+                Err(payload) => {
                     panicked.get_or_insert(payload);
                 }
             }
@@ -200,24 +205,45 @@ where
         serial(&mut init(), 0, &mut out);
         return out;
     }
-    // One contiguous, block-aligned span per worker.
+    // One contiguous, block-aligned span per worker. Each sits behind a lock
+    // only so that a span whose thread the OS refuses can still be reached
+    // and run inline; every lock is taken exactly once.
     let span = n_blocks.div_ceil(threads) * block;
-    let (init, serial) = (&init, &serial);
+    let spans: Vec<std::sync::Mutex<(usize, &mut [R])>> = out
+        .chunks_mut(span)
+        .enumerate()
+        .map(|(k, chunk)| std::sync::Mutex::new((k * span, chunk)))
+        .collect();
+    let run = |span: &std::sync::Mutex<(usize, &mut [R])>| {
+        let mut guard = span
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (base, ref mut chunk) = *guard;
+        serial(&mut init(), base, chunk);
+    };
+    let run = &run;
     std::thread::scope(|scope| {
-        let mut rest: &mut [R] = &mut out;
-        let mut base = 0usize;
-        while !rest.is_empty() {
-            let take = span.min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(take);
-            rest = tail;
-            scope.spawn(move || {
-                IN_PAR_WORKER.with(|w| w.set(true));
-                serial(&mut init(), base, chunk);
-            });
-            base += take;
+        for span in &spans {
+            if spawn_worker(scope, move || run(span)).is_err() {
+                run(span);
+            }
         }
     });
+    drop(spans);
     out
+}
+
+/// Spawns a scoped `par` worker, or returns the error if the OS refuses the
+/// thread (`Scope::spawn` would panic instead).
+#[cfg(feature = "parallel")]
+fn spawn_worker<'scope, T: Send + 'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    work: impl FnOnce() -> T + Send + 'scope,
+) -> std::io::Result<std::thread::ScopedJoinHandle<'scope, T>> {
+    std::thread::Builder::new().spawn_scoped(scope, move || {
+        IN_PAR_WORKER.with(|w| w.set(true));
+        work()
+    })
 }
 
 /// Serial fallback when the `parallel` feature is disabled.

@@ -14,8 +14,9 @@
 //!   used by the fast cost-opportunity analysis (Section 5.2).
 
 use crate::lang::ChassisNode;
-use egraph::{Analysis, PatVar, Pattern, PatternNode, Rewrite};
+use egraph::{PatVar, Pattern, PatternNode, Rewrite};
 use fpcore::{parse_expr, Expr};
+use std::sync::OnceLock;
 
 /// Builds an e-matching pattern from a real expression, treating every free
 /// variable as a metavariable.
@@ -54,7 +55,7 @@ pub fn pattern(src: &str) -> Pattern<ChassisNode> {
 }
 
 /// Builds a rewrite rule from FPCore source for both sides.
-pub fn rule<A: Analysis<ChassisNode>>(name: &str, lhs: &str, rhs: &str) -> Rewrite<ChassisNode, A> {
+pub fn rule(name: &str, lhs: &str, rhs: &str) -> Rewrite<ChassisNode> {
     Rewrite::new(name, pattern(lhs), pattern(rhs))
 }
 
@@ -353,21 +354,30 @@ const RULE_TABLE: &[(&str, &str, &str, bool)] = &[
     ("fmax-commute", "(fmax a b)", "(fmax b a)", true),
 ];
 
+/// `RULE_TABLE` compiled, with each rule's `simplifying` flag. Parsed once
+/// per process; cloning a [`Rewrite`] only shares it.
+fn compiled_table() -> &'static [(Rewrite<ChassisNode>, bool)] {
+    static TABLE: OnceLock<Vec<(Rewrite<ChassisNode>, bool)>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        RULE_TABLE
+            .iter()
+            .map(|(name, lhs, rhs, simplifying)| (rule(name, lhs, rhs), *simplifying))
+            .collect()
+    })
+}
+
 /// The full rule database (used during instruction selection).
-pub fn full_rules<A: Analysis<ChassisNode>>() -> Vec<Rewrite<ChassisNode, A>> {
-    RULE_TABLE
-        .iter()
-        .map(|(name, lhs, rhs, _)| rule(name, lhs, rhs))
-        .collect()
+pub fn full_rules() -> Vec<Rewrite<ChassisNode>> {
+    compiled_table().iter().map(|(r, _)| r.clone()).collect()
 }
 
 /// The simplifying subset (right-hand side no larger than the left), used by the
 /// cost-opportunity heuristic.
-pub fn simplifying_rules<A: Analysis<ChassisNode>>() -> Vec<Rewrite<ChassisNode, A>> {
-    RULE_TABLE
+pub fn simplifying_rules() -> Vec<Rewrite<ChassisNode>> {
+    compiled_table()
         .iter()
-        .filter(|(_, _, _, simplifying)| *simplifying)
-        .map(|(name, lhs, rhs, _)| rule(name, lhs, rhs))
+        .filter(|(_, simplifying)| *simplifying)
+        .map(|(r, _)| r.clone())
         .collect()
 }
 
@@ -380,16 +390,13 @@ pub fn rule_count() -> usize {
 mod tests {
     use super::*;
     use crate::lang::expr_to_rec;
-    use egraph::{EGraph, NoAnalysis, Runner, RunnerLimits};
+    use egraph::{EGraph, Runner, RunnerLimits};
     use fpcore::parse_expr;
 
-    fn saturate(
-        src: &str,
-        rules: &[Rewrite<ChassisNode, NoAnalysis>],
-    ) -> (EGraph<ChassisNode, NoAnalysis>, egraph::Id) {
+    fn saturate(src: &str, rules: &[Rewrite<ChassisNode>]) -> (EGraph<ChassisNode>, egraph::Id) {
         let expr = parse_expr(src).unwrap();
         let rec = expr_to_rec(&expr);
-        let mut eg: EGraph<ChassisNode, NoAnalysis> = EGraph::default();
+        let mut eg: EGraph<ChassisNode> = EGraph::default();
         let root = eg.add_expr(&rec);
         let limits = RunnerLimits {
             iter_limit: 6,
@@ -401,7 +408,7 @@ mod tests {
     }
 
     fn equivalent(src_a: &str, src_b: &str) -> bool {
-        let rules = full_rules::<NoAnalysis>();
+        let rules = full_rules();
         let expr_b = parse_expr(src_b).unwrap();
         let rec_b = expr_to_rec(&expr_b);
         let (mut eg, root_a) = saturate(src_a, &rules);
@@ -422,9 +429,9 @@ mod tests {
         assert!(rule_count() > 100, "expected a substantial rule database");
         // Every rule must parse and have rhs variables bound by the lhs; this is
         // checked by construction.
-        let rules = full_rules::<NoAnalysis>();
+        let rules = full_rules();
         assert_eq!(rules.len(), rule_count());
-        assert!(simplifying_rules::<NoAnalysis>().len() < rules.len());
+        assert!(simplifying_rules().len() < rules.len());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! representatives.
 
 use crate::lang::ChassisNode;
-use egraph::{Analysis, EGraph, Id};
+use egraph::{EGraph, Id};
 use fpcore::{FpType, Symbol};
 use std::collections::HashMap;
 use targets::{FloatExpr, Target};
@@ -23,21 +23,21 @@ struct Best {
 }
 
 /// The typed extractor.
-pub struct TypedExtractor<'a, A: Analysis<ChassisNode>> {
-    egraph: &'a EGraph<ChassisNode, A>,
+pub struct TypedExtractor<'a> {
+    egraph: &'a EGraph<ChassisNode>,
     target: &'a Target,
     var_types: &'a HashMap<Symbol, FpType>,
     best: HashMap<(Id, FpType), Best>,
 }
 
-impl<'a, A: Analysis<ChassisNode>> TypedExtractor<'a, A> {
+impl<'a> TypedExtractor<'a> {
     /// Runs the fixed-point cost computation over the whole e-graph.
     ///
     /// `var_types` gives the representation of each free variable (from the
     /// FPCore argument list); a variable can be extracted at a different type
     /// only through an explicit cast operator of the target.
     pub fn new(
-        egraph: &'a EGraph<ChassisNode, A>,
+        egraph: &'a EGraph<ChassisNode>,
         target: &'a Target,
         var_types: &'a HashMap<Symbol, FpType>,
     ) -> Self {
@@ -177,12 +177,11 @@ impl<'a, A: Analysis<ChassisNode>> TypedExtractor<'a, A> {
 mod tests {
     use super::*;
     use crate::lang::{expr_to_rec, ChassisNode};
-    use egraph::NoAnalysis;
     use fpcore::parse_expr;
     use targets::builtin;
     use targets::program_cost;
 
-    type EG = EGraph<ChassisNode, NoAnalysis>;
+    type EG = EGraph<ChassisNode>;
 
     fn var_types(vars: &[(&str, FpType)]) -> HashMap<Symbol, FpType> {
         vars.iter().map(|(n, t)| (Symbol::new(n), *t)).collect()

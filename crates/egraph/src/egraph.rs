@@ -1,23 +1,21 @@
 //! The e-graph data structure: hash-consed e-nodes grouped into e-classes.
 
-use crate::analysis::Analysis;
+use crate::hash::FxHashMap;
 use crate::language::{Id, Language, RecExpr};
 use crate::unionfind::UnionFind;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
 
 /// An equivalence class of e-nodes.
 #[derive(Clone, Debug)]
-pub struct EClass<L, D> {
+pub struct EClass<L> {
     /// The canonical id of this class (at the time of the last rebuild).
     pub id: Id,
     /// The e-nodes belonging to this class. Children ids are canonical after a
     /// [`EGraph::rebuild`].
     pub nodes: Vec<L>,
-    /// The analysis datum for this class.
-    pub data: D,
 }
 
-impl<L, D> EClass<L, D> {
+impl<L> EClass<L> {
     /// Number of e-nodes in the class.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -29,14 +27,18 @@ impl<L, D> EClass<L, D> {
     }
 }
 
-/// An e-graph over language `L` with analysis `A`.
+/// An e-graph over language `L`.
 ///
 /// See the crate-level documentation for an example.
 #[derive(Clone, Debug)]
-pub struct EGraph<L: Language, A: Analysis<L>> {
+pub struct EGraph<L: Language> {
     unionfind: UnionFind,
-    memo: HashMap<L, Id>,
-    classes: BTreeMap<Id, EClass<L, A::Data>>,
+    memo: FxHashMap<L, Id>,
+    /// Indexed by id: `Some` for a canonical id, `None` once the class has
+    /// been merged into another. Every id ever made has a slot, so walking
+    /// the table visits classes in ascending id order.
+    classes: Vec<Option<EClass<L>>>,
+    node_count: usize,
     /// Set by `union`, cleared by `rebuild`. Searching a dirty e-graph is allowed
     /// but may miss congruent matches.
     dirty: bool,
@@ -44,19 +46,20 @@ pub struct EGraph<L: Language, A: Analysis<L>> {
     union_count: usize,
 }
 
-impl<L: Language, A: Analysis<L>> Default for EGraph<L, A> {
+impl<L: Language> Default for EGraph<L> {
     fn default() -> Self {
         EGraph {
             unionfind: UnionFind::new(),
-            memo: HashMap::new(),
-            classes: BTreeMap::new(),
+            memo: FxHashMap::default(),
+            classes: Vec::new(),
+            node_count: 0,
             dirty: false,
             union_count: 0,
         }
     }
 }
 
-impl<L: Language, A: Analysis<L>> EGraph<L, A> {
+impl<L: Language> EGraph<L> {
     /// Creates an empty e-graph.
     pub fn new() -> Self {
         Self::default()
@@ -69,12 +72,12 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
 
     /// Number of e-classes.
     pub fn number_of_classes(&self) -> usize {
-        self.classes.len()
+        self.classes().count()
     }
 
     /// Total number of e-nodes across all classes.
     pub fn number_of_nodes(&self) -> usize {
-        self.classes.values().map(|c| c.nodes.len()).sum()
+        self.node_count
     }
 
     /// Total number of unions performed so far.
@@ -87,9 +90,9 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         self.dirty
     }
 
-    /// Iterates over all e-classes in a deterministic order.
-    pub fn classes(&self) -> impl Iterator<Item = &EClass<L, A::Data>> {
-        self.classes.values()
+    /// Iterates over all e-classes in ascending id order.
+    pub fn classes(&self) -> impl Iterator<Item = &EClass<L>> {
+        self.classes.iter().flatten()
     }
 
     /// The e-class containing `id`.
@@ -97,16 +100,10 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
     /// # Panics
     ///
     /// Panics if `id` was never returned by this e-graph.
-    pub fn class(&self, id: Id) -> &EClass<L, A::Data> {
-        let canon = self.find(id);
-        self.classes
-            .get(&canon)
-            .expect("id does not belong to this e-graph")
-    }
-
-    /// The analysis datum of the class containing `id`.
-    pub fn class_data(&self, id: Id) -> &A::Data {
-        &self.class(id).data
+    pub fn class(&self, id: Id) -> &EClass<L> {
+        self.classes[self.find(id).index()]
+            .as_ref()
+            .expect("canonical ids have a class")
     }
 
     /// Adds an e-node (canonicalizing its children), returning its e-class.
@@ -116,19 +113,15 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         if let Some(&id) = self.memo.get(&enode) {
             return self.find(id);
         }
-        let data = A::make(self, &enode);
         let id = self.unionfind.make_set();
-        self.classes.insert(
+        debug_assert_eq!(id.index(), self.classes.len());
+        self.classes.push(Some(EClass {
             id,
-            EClass {
-                id,
-                nodes: vec![enode.clone()],
-                data,
-            },
-        );
+            nodes: vec![enode.clone()],
+        }));
         self.memo.insert(enode, id);
-        A::modify(self, id);
-        self.find(id)
+        self.node_count += 1;
+        id
     }
 
     /// Adds every node of a [`RecExpr`], returning the e-class of its root.
@@ -163,92 +156,61 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         }
         let winner = self.unionfind.union(a, b);
         let loser = if winner == a { b } else { a };
-        let loser_class = self.classes.remove(&loser).expect("loser class must exist");
-        let winner_class = self
-            .classes
-            .get_mut(&winner)
-            .expect("winner class must exist");
-        winner_class.nodes.extend(loser_class.nodes);
-        let data_changed = A::merge(&mut winner_class.data, loser_class.data);
+        let loser_class = self.classes[loser.index()]
+            .take()
+            .expect("loser class must exist");
+        self.classes[winner.index()]
+            .as_mut()
+            .expect("winner class must exist")
+            .nodes
+            .extend(loser_class.nodes);
         self.dirty = true;
         self.union_count += 1;
-        if data_changed {
-            A::modify(self, winner);
-        }
         (winner, true)
     }
 
     /// Restores the e-graph invariants after unions: canonicalizes every e-node,
-    /// re-establishes hash-consing, performs congruence-induced unions, and
-    /// re-propagates analysis data, repeating until a fixed point.
+    /// re-establishes hash-consing and performs congruence-induced unions,
+    /// repeating until a fixed point.
+    ///
+    /// Each pass sweeps the whole graph in ascending class id, so the order
+    /// in which congruent pairs are found, and with it which class survives
+    /// each union, is a function of the graph alone (see the crate docs).
     pub fn rebuild(&mut self) {
-        loop {
-            let congruence_changed = self.rebuild_classes();
-            let analysis_changed = self.update_analysis();
-            if !congruence_changed && !analysis_changed {
-                break;
-            }
-        }
+        while self.rebuild_classes() {}
         self.dirty = false;
     }
 
+    /// One sweep; true if it performed a congruence union.
     fn rebuild_classes(&mut self) -> bool {
-        let ids: Vec<Id> = self.classes.keys().copied().collect();
-        let mut new_memo: HashMap<L, Id> = HashMap::with_capacity(self.memo.len());
+        let uf = &self.unionfind;
+        let memo = &mut self.memo;
+        memo.clear();
         let mut pending: Vec<(Id, Id)> = Vec::new();
-        for id in ids {
-            let uf = &self.unionfind;
-            let class = self
-                .classes
-                .get_mut(&id)
-                .expect("class keys are canonical between unions");
+        for class in self.classes.iter_mut().flatten() {
             for node in &mut class.nodes {
                 node.update_children(|c| uf.find(c));
             }
-            class.nodes.sort();
+            class.nodes.sort_unstable();
+            let before = class.nodes.len();
             class.nodes.dedup();
+            self.node_count -= before - class.nodes.len();
             for node in &class.nodes {
-                match new_memo.entry(node.clone()) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        if *e.get() != id {
-                            pending.push((*e.get(), id));
+                match memo.entry(node.clone()) {
+                    Entry::Occupied(e) => {
+                        if *e.get() != class.id {
+                            pending.push((*e.get(), class.id));
                         }
                     }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(id);
+                    Entry::Vacant(e) => {
+                        e.insert(class.id);
                     }
                 }
             }
         }
-        self.memo = new_memo;
         let mut changed = false;
         for (a, b) in pending {
             changed |= self.union(a, b).1;
-        }
-        changed
-    }
-
-    fn update_analysis(&mut self) -> bool {
-        let mut changed = false;
-        let ids: Vec<Id> = self.classes.keys().copied().collect();
-        for id in ids {
-            let id = self.find(id);
-            if !self.classes.contains_key(&id) {
-                continue;
-            }
-            let nodes = self.classes[&id].nodes.clone();
-            for node in nodes {
-                let data = A::make(self, &node);
-                let id = self.find(id);
-                let class = self
-                    .classes
-                    .get_mut(&id)
-                    .expect("canonical class must exist");
-                if A::merge(&mut class.data, data) {
-                    changed = true;
-                    A::modify(self, id);
-                }
-            }
         }
         changed
     }
@@ -257,8 +219,8 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
     /// depth-first walk that avoids cycles). Mostly useful for debugging; use an
     /// [`crate::Extractor`] for cost-aware extraction.
     pub fn any_term(&self, id: Id) -> Option<RecExpr<L>> {
-        fn go<L: Language, A: Analysis<L>>(
-            eg: &EGraph<L, A>,
+        fn go<L: Language>(
+            eg: &EGraph<L>,
             id: Id,
             seen: &mut Vec<Id>,
             out: &mut RecExpr<L>,
@@ -304,10 +266,9 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::NoAnalysis;
     use crate::language::testlang::TestLang;
 
-    type EG = EGraph<TestLang, NoAnalysis>;
+    type EG = EGraph<TestLang>;
 
     #[test]
     fn hash_consing_deduplicates() {

@@ -1,6 +1,5 @@
 //! Cost-based extraction of concrete terms from an e-graph.
 
-use crate::analysis::Analysis;
 use crate::egraph::EGraph;
 use crate::language::{Id, Language, RecExpr};
 use std::collections::HashMap;
@@ -36,15 +35,15 @@ impl<L: Language> CostFunction<L> for TreeSize {
 
 /// A greedy extractor: computes the lowest-cost representative of every e-class by
 /// fixed-point iteration, then reads terms out bottom-up.
-pub struct Extractor<'a, L: Language, A: Analysis<L>, CF: CostFunction<L>> {
-    egraph: &'a EGraph<L, A>,
+pub struct Extractor<'a, L: Language, CF: CostFunction<L>> {
+    egraph: &'a EGraph<L>,
     cost_fn: CF,
     best: HashMap<Id, (CF::Cost, L)>,
 }
 
-impl<'a, L: Language, A: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, A, CF> {
+impl<'a, L: Language, CF: CostFunction<L>> Extractor<'a, L, CF> {
     /// Builds the extractor, running the fixed-point cost computation.
-    pub fn new(egraph: &'a EGraph<L, A>, cost_fn: CF) -> Self {
+    pub fn new(egraph: &'a EGraph<L>, cost_fn: CF) -> Self {
         let mut extractor = Extractor {
             egraph,
             cost_fn,
@@ -139,10 +138,9 @@ impl<'a, L: Language, A: Analysis<L>, CF: CostFunction<L>> Extractor<'a, L, A, C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::NoAnalysis;
     use crate::language::testlang::TestLang;
 
-    type EG = EGraph<TestLang, NoAnalysis>;
+    type EG = EGraph<TestLang>;
 
     #[test]
     fn extracts_smaller_equivalent_term() {

@@ -52,6 +52,12 @@ pub trait Language: Clone + Eq + std::hash::Hash + Ord + fmt::Debug {
 
     /// True when `self` and `other` are the same operator with the same arity,
     /// ignoring the children.
+    ///
+    /// This must agree with equality of the two nodes once every child of
+    /// both is replaced by the same id: the [`crate::OpIndex`] files each
+    /// class under its e-nodes with children zeroed, and a pattern is sent
+    /// only to the classes filed under its zeroed root. A `matches_op` that
+    /// is looser than that equality would make searches miss matches.
     fn matches_op(&self, other: &Self) -> bool;
 
     /// True for e-nodes without children.

@@ -4,22 +4,44 @@
 //! the `egg` library's functionality that the Chassis compiler needs:
 //!
 //! * hash-consed e-nodes grouped into e-classes over a union-find ([`EGraph`]),
+//!   stored in a table indexed by class id,
 //! * congruence closure via [`EGraph::rebuild`],
-//! * e-class [`Analysis`] (used for constant folding and type tracking),
-//! * syntactic [`Pattern`]s with backtracking e-matching,
+//! * syntactic [`Pattern`]s, compiled into numbered variable slots, with a
+//!   depth-first e-matcher and an operator index ([`OpIndex`]) that sends a
+//!   rule only to the classes holding its root operator,
 //! * non-destructive [`Rewrite`] rules and a saturation [`Runner`] with node,
-//!   iteration and time limits,
+//!   iteration, match and time limits,
 //! * greedy cost-based [`Extractor`]s over user-provided [`CostFunction`]s.
 //!
-//! The engine is deliberately simple: `rebuild` performs whole-graph congruence
-//! repair rather than `egg`'s worklist-based repair, which is more than fast
-//! enough at the e-graph sizes Chassis uses (the paper caps e-graphs at 8000
-//! nodes).
+//! # Match order
+//!
+//! Everything the runner does is a function of the order in which matches
+//! are found, because a rule keeps only its first `match_limit` matches and
+//! unions are applied in match order. That order is fixed: classes in
+//! ascending id, then e-nodes in their order within the class, then the
+//! choice of e-node at each nested pattern node, lexicographically in
+//! pre-order. The operator index visits the same classes in the same order,
+//! skipping only classes that cannot match; a search stops at its limit
+//! instead of truncating afterwards. So the surviving matches, the union
+//! sequence, the class ids, extraction and the frontiers built on them are
+//! the same as a search that walks every class and truncates.
+//!
+//! # Rebuilding
+//!
+//! [`EGraph::rebuild`] sweeps every class in ascending id, canonicalizes and
+//! sorts its e-nodes, and rebuilds the hash-cons memo; two classes holding
+//! the same e-node are then unioned, the earlier-found class winning, and
+//! the sweep repeats until nothing merges. `egg`'s rebuild instead walks a
+//! worklist of merged classes through parent lists, touching only what
+//! changed. That would find congruent pairs in a different order, so other
+//! classes would win unions and the e-graph would be renumbered: a change of
+//! results, which belongs with a change of scheduler rather than in an
+//! engine whose output is pinned bit for bit.
 //!
 //! # Example
 //!
 //! ```
-//! use egraph::{EGraph, Language, NoAnalysis, Id};
+//! use egraph::{EGraph, Language, Id};
 //!
 //! // A tiny language: variables and binary `+`.
 //! #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -38,7 +60,7 @@
 //!     }
 //! }
 //!
-//! let mut eg: EGraph<Math, NoAnalysis> = EGraph::default();
+//! let mut eg: EGraph<Math> = EGraph::default();
 //! let x = eg.add(Math::Var("x"));
 //! let y = eg.add(Math::Var("y"));
 //! let xy = eg.add(Math::Add([x, y]));
@@ -48,20 +70,21 @@
 //! assert_eq!(eg.find(xy), eg.find(yx));
 //! ```
 
-pub mod analysis;
 pub mod egraph;
 pub mod extract;
+mod hash;
 pub mod language;
 pub mod pattern;
+#[cfg(test)]
+mod properties;
 pub mod rewrite;
 pub mod runner;
 pub mod unionfind;
 
-pub use analysis::{Analysis, NoAnalysis};
 pub use egraph::{EClass, EGraph};
 pub use extract::{CostFunction, Extractor, TreeSize};
 pub use language::{Id, Language, RecExpr};
-pub use pattern::{PatVar, Pattern, PatternNode, Subst};
+pub use pattern::{Matches, OpIndex, PatVar, Pattern, PatternNode};
 pub use rewrite::Rewrite;
 pub use runner::{RunReport, Runner, RunnerLimits, StopReason};
 pub use unionfind::UnionFind;

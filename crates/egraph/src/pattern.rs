@@ -1,9 +1,9 @@
-//! Syntactic patterns over a [`Language`] and backtracking e-matching.
+//! Syntactic patterns over a [`Language`], compiled once into numbered
+//! variable slots, and the depth-first e-matcher that searches them.
 
-use crate::analysis::Analysis;
 use crate::egraph::EGraph;
+use crate::hash::FxHashMap;
 use crate::language::{Id, Language};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A pattern variable (a metavariable such as `?a` in a rewrite rule).
@@ -23,9 +23,6 @@ impl fmt::Display for PatVar {
     }
 }
 
-/// A substitution binding pattern variables to e-classes.
-pub type Subst = BTreeMap<PatVar, Id>;
-
 /// One node of a pattern: either a metavariable or a concrete e-node whose
 /// children refer to earlier pattern positions (like [`crate::RecExpr`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -36,19 +33,24 @@ pub enum PatternNode<L> {
     ENode(L),
 }
 
-/// A pattern: a flattened tree of [`PatternNode`]s, root last.
+/// A compiled pattern node: variables are replaced by their slot.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Pattern<L> {
-    nodes: Vec<PatternNode<L>>,
+enum Node<L> {
+    Slot(usize),
+    ENode(L),
 }
 
-/// A single match of a pattern: the e-class it matched in and the substitution.
+/// A pattern: a flattened tree of nodes, root last, whose variables are
+/// numbered into slots `0..variables().len()` in order of first position.
+///
+/// A substitution is a slice of e-class ids indexed by slot.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PatternMatch {
-    /// The e-class the pattern's root matched.
-    pub class: Id,
-    /// Bindings for the pattern's metavariables.
-    pub subst: Subst,
+pub struct Pattern<L> {
+    nodes: Vec<Node<L>>,
+    vars: Vec<PatVar>,
+    /// The root operator with its children zeroed: the [`OpIndex`] key of
+    /// the classes a match can start in. `None` for a variable root.
+    root_op: Option<L>,
 }
 
 impl<L: Language> Pattern<L> {
@@ -60,135 +62,127 @@ impl<L: Language> Pattern<L> {
     /// Panics if the node list is empty or contains a forward reference.
     pub fn from_nodes(nodes: Vec<PatternNode<L>>) -> Pattern<L> {
         assert!(!nodes.is_empty(), "a pattern needs at least one node");
-        for (i, n) in nodes.iter().enumerate() {
-            if let PatternNode::ENode(e) = n {
-                for c in e.children() {
-                    assert!(
-                        c.index() < i,
-                        "pattern children must reference earlier nodes"
-                    );
+        let mut vars: Vec<PatVar> = Vec::new();
+        let nodes: Vec<Node<L>> = nodes
+            .into_iter()
+            .enumerate()
+            .map(|(i, n)| match n {
+                PatternNode::Var(v) => Node::Slot(match vars.iter().position(|x| *x == v) {
+                    Some(slot) => slot,
+                    None => {
+                        vars.push(v);
+                        vars.len() - 1
+                    }
+                }),
+                PatternNode::ENode(e) => {
+                    for c in e.children() {
+                        assert!(
+                            c.index() < i,
+                            "pattern children must reference earlier nodes"
+                        );
+                    }
+                    Node::ENode(e)
                 }
-            }
+            })
+            .collect();
+        let root_op = match nodes.last() {
+            Some(Node::ENode(e)) => Some(op_key(e)),
+            _ => None,
+        };
+        Pattern {
+            nodes,
+            vars,
+            root_op,
         }
-        Pattern { nodes }
     }
 
     /// A pattern consisting of a single metavariable.
     pub fn variable(name: &str) -> Pattern<L> {
-        Pattern {
-            nodes: vec![PatternNode::Var(PatVar::new(name))],
+        Pattern::from_nodes(vec![PatternNode::Var(PatVar::new(name))])
+    }
+
+    /// The metavariables, indexed by slot.
+    pub fn variables(&self) -> &[PatVar] {
+        &self.vars
+    }
+
+    /// Searches the e-graph for matches of the pattern's root, visiting only
+    /// the classes `index` lists for the root operator (every class for a
+    /// variable root), in ascending id. Stops after `limit` matches, which
+    /// are then exactly the first `limit` of the unlimited search.
+    ///
+    /// `index` must have been built from `egraph` since its last change.
+    pub fn search(&self, egraph: &EGraph<L>, index: &OpIndex<L>, limit: usize) -> Matches {
+        match &self.root_op {
+            Some(op) => self.search_classes(egraph, index.classes(op).iter().copied(), limit),
+            None => self.search_classes(egraph, egraph.classes().map(|c| c.id), limit),
         }
     }
 
-    /// The flattened pattern nodes.
-    pub fn nodes(&self) -> &[PatternNode<L>] {
-        &self.nodes
-    }
-
-    /// The root position.
-    pub fn root(&self) -> Id {
-        Id::from(self.nodes.len() - 1)
-    }
-
-    /// The set of metavariables used in the pattern.
-    pub fn variables(&self) -> Vec<PatVar> {
-        let mut vars: Vec<PatVar> = self
-            .nodes
-            .iter()
-            .filter_map(|n| match n {
-                PatternNode::Var(v) => Some(v.clone()),
-                PatternNode::ENode(_) => None,
-            })
-            .collect();
-        vars.sort();
-        vars.dedup();
-        vars
-    }
-
-    /// Searches the whole e-graph, returning every match in every e-class.
-    pub fn search<A: Analysis<L>>(&self, egraph: &EGraph<L, A>) -> Vec<PatternMatch> {
-        let mut out = Vec::new();
-        for class in egraph.classes() {
-            let matches = self.search_class(egraph, class.id);
-            out.extend(matches.into_iter().map(|subst| PatternMatch {
-                class: class.id,
-                subst,
-            }));
-        }
-        out
-    }
-
-    /// Searches a single e-class, returning the substitutions under which the
-    /// pattern's root matches it.
-    pub fn search_class<A: Analysis<L>>(&self, egraph: &EGraph<L, A>, class: Id) -> Vec<Subst> {
-        self.match_at(egraph, self.root(), egraph.find(class), Subst::new())
-    }
-
-    fn match_at<A: Analysis<L>>(
+    /// Searches the given classes in the given order, stopping after `limit`
+    /// matches.
+    ///
+    /// Matches come in a fixed order: by class in the order given, then by
+    /// e-node order within each class, then lexicographically by the e-node
+    /// chosen at each nested pattern node, taken in pre-order. The runner's
+    /// truncation at its match limit, and so every union it makes, rests on
+    /// this order.
+    pub fn search_classes(
         &self,
-        egraph: &EGraph<L, A>,
-        pat: Id,
-        class: Id,
-        subst: Subst,
-    ) -> Vec<Subst> {
-        let class = egraph.find(class);
-        match &self.nodes[pat.index()] {
-            PatternNode::Var(v) => match subst.get(v) {
-                Some(&bound) => {
-                    if egraph.find(bound) == class {
-                        vec![subst]
-                    } else {
-                        vec![]
-                    }
-                }
-                None => {
-                    let mut subst = subst;
-                    subst.insert(v.clone(), class);
-                    vec![subst]
-                }
+        egraph: &EGraph<L>,
+        classes: impl IntoIterator<Item = Id>,
+        limit: usize,
+    ) -> Matches {
+        let mut matcher = Matcher {
+            pattern: self,
+            egraph,
+            subst: vec![UNBOUND; self.vars.len()],
+            pending: Vec::new(),
+            matches: Matches {
+                width: 1 + self.vars.len(),
+                ids: Vec::new(),
             },
-            PatternNode::ENode(pnode) => {
-                let mut out = Vec::new();
-                for enode in &egraph.class(class).nodes {
-                    if !enode.matches_op(pnode) || enode.children().len() != pnode.children().len()
-                    {
-                        continue;
-                    }
-                    let mut substs = vec![subst.clone()];
-                    for (pc, ec) in pnode.children().iter().zip(enode.children()) {
-                        let mut next = Vec::new();
-                        for s in substs {
-                            next.extend(self.match_at(egraph, *pc, *ec, s));
-                        }
-                        substs = next;
-                        if substs.is_empty() {
-                            break;
-                        }
-                    }
-                    out.extend(substs);
-                }
-                out
+            limit,
+            root: UNBOUND,
+        };
+        if limit == 0 {
+            return matcher.matches;
+        }
+        for class in classes {
+            matcher.root = class;
+            matcher.pending.push((self.nodes.len() - 1, class));
+            let more = matcher.visit();
+            matcher.pending.clear();
+            if !more {
+                break;
             }
         }
+        matcher.matches
     }
 
-    /// Instantiates the pattern under `subst`, adding the resulting term to the
-    /// e-graph and returning its e-class.
+    /// Instantiates the pattern under `subst` (indexed by slot), adding the
+    /// resulting term to the e-graph and returning its e-class.
     ///
     /// # Panics
     ///
-    /// Panics if a metavariable in the pattern is unbound in `subst`.
-    pub fn instantiate<A: Analysis<L>>(&self, egraph: &mut EGraph<L, A>, subst: &Subst) -> Id {
-        let mut ids: Vec<Id> = Vec::with_capacity(self.nodes.len());
+    /// Panics if `subst` has fewer entries than the pattern has variables.
+    pub fn instantiate(&self, egraph: &mut EGraph<L>, subst: &[Id]) -> Id {
+        self.instantiate_with(egraph, |slot| subst[slot], &mut Vec::new())
+    }
+
+    /// Instantiates the pattern with `slot` giving each variable's class,
+    /// using `ids` as scratch space.
+    pub(crate) fn instantiate_with(
+        &self,
+        egraph: &mut EGraph<L>,
+        slot: impl Fn(usize) -> Id,
+        ids: &mut Vec<Id>,
+    ) -> Id {
+        ids.clear();
         for node in &self.nodes {
             let id = match node {
-                PatternNode::Var(v) => *subst
-                    .get(v)
-                    .unwrap_or_else(|| panic!("unbound pattern variable {v}")),
-                PatternNode::ENode(e) => {
-                    let concrete = e.map_children(|c| ids[c.index()]);
-                    egraph.add(concrete)
-                }
+                Node::Slot(s) => slot(*s),
+                Node::ENode(e) => egraph.add(e.map_children(|c| ids[c.index()])),
             };
             ids.push(id);
         }
@@ -196,13 +190,145 @@ impl<L: Language> Pattern<L> {
     }
 }
 
+/// `node` with every child replaced by the same id: under the
+/// [`Language::matches_op`] contract, two nodes match operators exactly when
+/// their keys are equal.
+fn op_key<L: Language>(node: &L) -> L {
+    node.map_children(|_| Id(0))
+}
+
+/// A placeholder id marking an unbound slot (never a real class).
+const UNBOUND: Id = Id(u32::MAX);
+
+/// The matches of one search, in match order: for each, the class the root
+/// matched in and one class per variable slot.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Matches {
+    /// Ids per match: the root class, then the slots.
+    width: usize,
+    ids: Vec<Id>,
+}
+
+impl Matches {
+    /// Number of matches.
+    pub fn len(&self) -> usize {
+        self.ids.len() / self.width
+    }
+
+    /// True if nothing matched.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Each match's root class and substitution (indexed by slot).
+    pub fn iter(&self) -> impl Iterator<Item = (Id, &[Id])> {
+        self.ids.chunks_exact(self.width).map(|m| (m[0], &m[1..]))
+    }
+}
+
+/// For each operator, the ascending ids of the classes holding an e-node
+/// with that operator. Built once per saturation iteration, so a rule's
+/// search visits only the classes its root can match.
+#[derive(Clone, Debug)]
+pub struct OpIndex<L> {
+    classes: FxHashMap<L, Vec<Id>>,
+}
+
+impl<L: Language> OpIndex<L> {
+    /// Indexes every class of `egraph`.
+    pub fn new(egraph: &EGraph<L>) -> OpIndex<L> {
+        let mut classes: FxHashMap<L, Vec<Id>> = FxHashMap::default();
+        for class in egraph.classes() {
+            for node in &class.nodes {
+                let ids = classes.entry(op_key(node)).or_default();
+                if ids.last() != Some(&class.id) {
+                    ids.push(class.id);
+                }
+            }
+        }
+        OpIndex { classes }
+    }
+
+    /// The ascending ids of the classes holding an e-node whose operator
+    /// matches `op` (whose children are ignored).
+    pub fn classes(&self, op: &L) -> &[Id] {
+        self.classes.get(op).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// Depth-first matcher state for one pattern: one binding buffer and one
+/// stack of pattern positions still to match, reused across every class.
+struct Matcher<'a, L: Language> {
+    pattern: &'a Pattern<L>,
+    egraph: &'a EGraph<L>,
+    /// The class bound to each slot, or [`UNBOUND`].
+    subst: Vec<Id>,
+    /// `(pattern position, class)` pairs still to match; the top is next.
+    pending: Vec<(usize, Id)>,
+    matches: Matches,
+    limit: usize,
+    /// The class the current match started in.
+    root: Id,
+}
+
+impl<L: Language> Matcher<'_, L> {
+    /// Matches the pending positions, recording every completed match.
+    /// Leaves `pending` and `subst` as it found them; returns false once
+    /// `limit` matches have been recorded.
+    fn visit(&mut self) -> bool {
+        let Some((pos, class)) = self.pending.pop() else {
+            self.matches.ids.push(self.root);
+            self.matches.ids.extend_from_slice(&self.subst);
+            return self.matches.len() < self.limit;
+        };
+        let (pattern, egraph) = (self.pattern, self.egraph);
+        let class = egraph.find(class);
+        let more = match &pattern.nodes[pos] {
+            Node::Slot(slot) => {
+                let bound = self.subst[*slot];
+                if bound == UNBOUND {
+                    self.subst[*slot] = class;
+                    let more = self.visit();
+                    self.subst[*slot] = UNBOUND;
+                    more
+                } else if egraph.find(bound) == class {
+                    self.visit()
+                } else {
+                    true
+                }
+            }
+            Node::ENode(pnode) => {
+                let mut more = true;
+                for enode in &egraph.class(class).nodes {
+                    if !enode.matches_op(pnode) || enode.children().len() != pnode.children().len()
+                    {
+                        continue;
+                    }
+                    let base = self.pending.len();
+                    // Reversed, so the first child is matched first.
+                    for (p, e) in pnode.children().iter().zip(enode.children()).rev() {
+                        self.pending.push((p.index(), *e));
+                    }
+                    more = self.visit();
+                    self.pending.truncate(base);
+                    if !more {
+                        break;
+                    }
+                }
+                more
+            }
+        };
+        self.pending.push((pos, class));
+        more
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::NoAnalysis;
     use crate::language::testlang::TestLang;
 
-    type EG = EGraph<TestLang, NoAnalysis>;
+    type EG = EGraph<TestLang>;
 
     /// Pattern for `(+ ?a ?b)`.
     fn add_pattern() -> Pattern<TestLang> {
@@ -221,17 +347,22 @@ mod tests {
         ])
     }
 
+    /// Every match, through the operator index.
+    fn search(pattern: &Pattern<TestLang>, eg: &EG) -> Vec<(Id, Vec<Id>)> {
+        pattern
+            .search(eg, &OpIndex::new(eg), usize::MAX)
+            .iter()
+            .map(|(class, subst)| (class, subst.to_vec()))
+            .collect()
+    }
+
     #[test]
     fn matches_simple_addition() {
         let mut eg = EG::default();
         let x = eg.add(TestLang::Var("x"));
         let y = eg.add(TestLang::Var("y"));
         let sum = eg.add(TestLang::Add([x, y]));
-        let matches = add_pattern().search(&eg);
-        assert_eq!(matches.len(), 1);
-        assert_eq!(matches[0].class, sum);
-        assert_eq!(matches[0].subst[&PatVar::new("a")], x);
-        assert_eq!(matches[0].subst[&PatVar::new("b")], y);
+        assert_eq!(search(&add_pattern(), &eg), vec![(sum, vec![x, y])]);
     }
 
     #[test]
@@ -241,13 +372,11 @@ mod tests {
         let y = eg.add(TestLang::Var("y"));
         let _xy = eg.add(TestLang::Add([x, y]));
         let xx = eg.add(TestLang::Add([x, x]));
-        let matches = double_pattern().search(&eg);
-        assert_eq!(matches.len(), 1);
-        assert_eq!(matches[0].class, xx);
+        assert_eq!(search(&double_pattern(), &eg), vec![(xx, vec![x])]);
         // After x = y, both additions match the non-linear pattern.
         eg.union(x, y);
         eg.rebuild();
-        let matches = double_pattern().search(&eg);
+        let matches = search(&double_pattern(), &eg);
         assert_eq!(matches.len(), 1, "x+y and x+x are now the same e-class");
     }
 
@@ -255,10 +384,7 @@ mod tests {
     fn instantiation_adds_term() {
         let mut eg = EG::default();
         let x = eg.add(TestLang::Var("x"));
-        let mut subst = Subst::new();
-        subst.insert(PatVar::new("a"), x);
-        subst.insert(PatVar::new("b"), x);
-        let id = add_pattern().instantiate(&mut eg, &subst);
+        let id = add_pattern().instantiate(&mut eg, &[x, x]);
         assert_eq!(eg.lookup(TestLang::Add([x, x])), Some(eg.find(id)));
     }
 
@@ -266,9 +392,9 @@ mod tests {
     fn pattern_variables_listed() {
         assert_eq!(
             add_pattern().variables(),
-            vec![PatVar::new("a"), PatVar::new("b")]
+            [PatVar::new("a"), PatVar::new("b")]
         );
-        assert_eq!(double_pattern().variables(), vec![PatVar::new("a")]);
+        assert_eq!(double_pattern().variables(), [PatVar::new("a")]);
     }
 
     #[test]
@@ -287,16 +413,13 @@ mod tests {
         let z = eg.add(TestLang::Var("z"));
         let sum = eg.add(TestLang::Add([y, z]));
         let prod = eg.add(TestLang::Mul([x, sum]));
-        let matches = pat.search(&eg);
-        assert_eq!(matches.len(), 1);
-        assert_eq!(matches[0].class, prod);
-        assert_eq!(matches[0].subst[&PatVar::new("a")], x);
+        assert_eq!(search(&pat, &eg), vec![(prod, vec![x, y, z])]);
     }
 
     #[test]
     fn matches_multiply_represented_classes() {
         // When an e-class has several e-nodes matching the pattern with different
-        // substitutions, all of them are reported.
+        // substitutions, all of them are reported, in node order.
         let mut eg = EG::default();
         let x = eg.add(TestLang::Var("x"));
         let y = eg.add(TestLang::Var("y"));
@@ -304,7 +427,20 @@ mod tests {
         let yx = eg.add(TestLang::Add([y, x]));
         eg.union(xy, yx);
         eg.rebuild();
-        let matches = add_pattern().search(&eg);
-        assert_eq!(matches.len(), 2);
+        assert_eq!(
+            search(&add_pattern(), &eg),
+            vec![(xy, vec![x, y]), (xy, vec![y, x])]
+        );
+    }
+
+    #[test]
+    fn variable_root_matches_every_class() {
+        let mut eg = EG::default();
+        let x = eg.add(TestLang::Var("x"));
+        let one = eg.add(TestLang::Num(1));
+        let pat: Pattern<TestLang> = Pattern::variable("a");
+        assert_eq!(search(&pat, &eg), vec![(x, vec![x]), (one, vec![one])]);
+        assert_eq!(pat.search(&eg, &OpIndex::new(&eg), 1).len(), 1);
+        assert!(pat.search(&eg, &OpIndex::new(&eg), 0).is_empty());
     }
 }

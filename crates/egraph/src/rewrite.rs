@@ -1,111 +1,112 @@
-//! Rewrite rules: a searcher pattern, an applier pattern, and an optional
-//! side condition.
+//! Rewrite rules: a searcher pattern and an applier pattern.
 
-use crate::analysis::Analysis;
 use crate::egraph::EGraph;
 use crate::language::{Id, Language};
-use crate::pattern::{Pattern, PatternMatch, Subst};
+use crate::pattern::{Matches, OpIndex, Pattern};
 use std::fmt;
 use std::sync::Arc;
 
-/// A side condition evaluated on each match before the rewrite is applied.
-pub type Condition<L, A> = Arc<dyn Fn(&EGraph<L, A>, Id, &Subst) -> bool + Send + Sync>;
-
-/// A rewrite rule `lhs { rhs`.
+/// A rewrite rule `lhs => rhs`.
 ///
 /// Rules are applied *non-destructively*: the right-hand side is added to the
 /// e-graph and unioned with the matched e-class, so the left-hand side remains
 /// available (Section 3.3 of the paper).
+///
+/// Cloning a rule shares it, so a rule table is compiled once and handed to
+/// any number of runners.
 #[derive(Clone)]
-pub struct Rewrite<L: Language, A: Analysis<L>> {
+pub struct Rewrite<L: Language> {
+    rule: Arc<Rule<L>>,
+}
+
+struct Rule<L> {
     name: String,
     lhs: Pattern<L>,
     rhs: Pattern<L>,
-    condition: Option<Condition<L, A>>,
+    /// For each rhs slot, the lhs slot bound to the same variable.
+    rhs_slots: Vec<usize>,
 }
 
-impl<L: Language, A: Analysis<L>> fmt::Debug for Rewrite<L, A> {
+impl<L: Language> fmt::Debug for Rewrite<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Rewrite")
-            .field("name", &self.name)
-            .field("lhs", &self.lhs)
-            .field("rhs", &self.rhs)
-            .field("conditional", &self.condition.is_some())
+            .field("name", &self.rule.name)
+            .field("lhs", &self.rule.lhs)
+            .field("rhs", &self.rule.rhs)
             .finish()
     }
 }
 
-impl<L: Language, A: Analysis<L>> Rewrite<L, A> {
-    /// Creates an unconditional rewrite.
+impl<L: Language> Rewrite<L> {
+    /// Creates a rewrite.
     ///
     /// # Panics
     ///
     /// Panics if the right-hand side uses a metavariable that the left-hand side
     /// does not bind.
-    pub fn new(name: impl Into<String>, lhs: Pattern<L>, rhs: Pattern<L>) -> Rewrite<L, A> {
-        let lhs_vars = lhs.variables();
-        for v in rhs.variables() {
-            assert!(
-                lhs_vars.contains(&v),
-                "rewrite rhs uses unbound metavariable {v}"
-            );
-        }
+    pub fn new(name: impl Into<String>, lhs: Pattern<L>, rhs: Pattern<L>) -> Rewrite<L> {
+        let rhs_slots = rhs
+            .variables()
+            .iter()
+            .map(|v| {
+                lhs.variables()
+                    .iter()
+                    .position(|x| x == v)
+                    .unwrap_or_else(|| panic!("rewrite rhs uses unbound metavariable {v}"))
+            })
+            .collect();
         Rewrite {
-            name: name.into(),
-            lhs,
-            rhs,
-            condition: None,
+            rule: Arc::new(Rule {
+                name: name.into(),
+                lhs,
+                rhs,
+                rhs_slots,
+            }),
         }
-    }
-
-    /// Adds a side condition (builder style).
-    pub fn with_condition(mut self, condition: Condition<L, A>) -> Rewrite<L, A> {
-        self.condition = Some(condition);
-        self
     }
 
     /// The rule name (for reporting).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.rule.name
     }
 
     /// The left-hand-side pattern.
     pub fn lhs(&self) -> &Pattern<L> {
-        &self.lhs
+        &self.rule.lhs
     }
 
     /// The right-hand-side pattern.
     pub fn rhs(&self) -> &Pattern<L> {
-        &self.rhs
+        &self.rule.rhs
     }
 
-    /// Finds every match of the left-hand side.
-    pub fn search(&self, egraph: &EGraph<L, A>) -> Vec<PatternMatch> {
-        self.lhs.search(egraph)
+    /// Finds the first `limit` matches of the left-hand side (see
+    /// [`Pattern::search`]).
+    pub fn search(&self, egraph: &EGraph<L>, index: &OpIndex<L>, limit: usize) -> Matches {
+        self.rule.lhs.search(egraph, index, limit)
     }
 
-    /// Applies the rule to previously found matches. Returns the number of
-    /// e-class unions that actually changed the e-graph.
-    pub fn apply(&self, egraph: &mut EGraph<L, A>, matches: &[PatternMatch]) -> usize {
+    /// Applies the rule to matches of its left-hand side, in order. Returns
+    /// the number of e-class unions that actually changed the e-graph.
+    pub fn apply(&self, egraph: &mut EGraph<L>, matches: &Matches) -> usize {
+        let rule = &*self.rule;
+        let mut scratch: Vec<Id> = Vec::new();
         let mut applied = 0;
-        for m in matches {
-            if let Some(cond) = &self.condition {
-                if !cond(egraph, m.class, &m.subst) {
-                    continue;
-                }
-            }
-            let new_id = self.rhs.instantiate(egraph, &m.subst);
-            let (_, changed) = egraph.union(m.class, new_id);
-            if changed {
+        for (class, subst) in matches.iter() {
+            let new_id =
+                rule.rhs
+                    .instantiate_with(egraph, |slot| subst[rule.rhs_slots[slot]], &mut scratch);
+            if egraph.union(class, new_id).1 {
                 applied += 1;
             }
         }
         applied
     }
 
-    /// Searches and applies in one step, returning the number of effective unions.
-    pub fn run(&self, egraph: &mut EGraph<L, A>) -> usize {
-        let matches = self.search(egraph);
+    /// Searches every match on a clean e-graph and applies them, returning
+    /// the number of effective unions.
+    pub fn run(&self, egraph: &mut EGraph<L>) -> usize {
+        let matches = self.search(egraph, &OpIndex::new(egraph), usize::MAX);
         self.apply(egraph, &matches)
     }
 }
@@ -113,12 +114,11 @@ impl<L: Language, A: Analysis<L>> Rewrite<L, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::NoAnalysis;
     use crate::language::testlang::TestLang;
     use crate::pattern::{PatVar, PatternNode};
 
-    type EG = EGraph<TestLang, NoAnalysis>;
-    type RW = Rewrite<TestLang, NoAnalysis>;
+    type EG = EGraph<TestLang>;
+    type RW = Rewrite<TestLang>;
 
     fn commute_add() -> RW {
         // (+ ?a ?b) => (+ ?b ?a)
@@ -154,18 +154,6 @@ mod tests {
         let n2 = rule.run(&mut eg);
         eg.rebuild();
         assert_eq!(n2, 0);
-    }
-
-    #[test]
-    fn conditions_gate_application() {
-        let mut eg = EG::default();
-        let x = eg.add(TestLang::Var("x"));
-        let y = eg.add(TestLang::Var("y"));
-        let _xy = eg.add(TestLang::Add([x, y]));
-        let never = commute_add().with_condition(Arc::new(|_, _, _| false));
-        assert_eq!(never.run(&mut eg), 0);
-        let always = commute_add().with_condition(Arc::new(|_, _, _| true));
-        assert!(always.run(&mut eg) > 0);
     }
 
     #[test]

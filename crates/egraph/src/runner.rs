@@ -1,9 +1,9 @@
 //! The equality-saturation runner: repeatedly applies a rule set until
 //! saturation or until resource limits are hit.
 
-use crate::analysis::Analysis;
 use crate::egraph::EGraph;
 use crate::language::Language;
+use crate::pattern::{Matches, OpIndex};
 use crate::rewrite::Rewrite;
 use std::time::{Duration, Instant};
 
@@ -17,7 +17,8 @@ pub struct RunnerLimits {
     /// Wall-clock budget for the whole run.
     pub time_limit: Duration,
     /// Cap on matches applied per rule per iteration (guards against explosive
-    /// rules such as associativity).
+    /// rules such as associativity). A rule's search stops at this many
+    /// matches, which are the first ones in match order.
     pub match_limit: usize,
 }
 
@@ -86,11 +87,7 @@ impl Runner {
 
     /// Runs the rules until saturation or a limit is reached. The e-graph is
     /// rebuilt after every iteration, so it is clean when this returns.
-    pub fn run<L: Language, A: Analysis<L>>(
-        &self,
-        egraph: &mut EGraph<L, A>,
-        rules: &[Rewrite<L, A>],
-    ) -> RunReport {
+    pub fn run<L: Language>(&self, egraph: &mut EGraph<L>, rules: &[Rewrite<L>]) -> RunReport {
         let start = Instant::now();
         let mut iterations = 0;
         let mut total_applied = 0;
@@ -114,14 +111,11 @@ impl Runner {
             // Searching before applying keeps one iteration's matches independent
             // of the order rules are listed in.
             let mut iteration_applied = 0;
-            let mut all_matches = Vec::with_capacity(rules.len());
-            for rule in rules {
-                let mut matches = rule.search(egraph);
-                if matches.len() > self.limits.match_limit {
-                    matches.truncate(self.limits.match_limit);
-                }
-                all_matches.push(matches);
-            }
+            let index = OpIndex::new(egraph);
+            let all_matches: Vec<Matches> = rules
+                .iter()
+                .map(|rule| rule.search(egraph, &index, self.limits.match_limit))
+                .collect();
             for (rule, matches) in rules.iter().zip(&all_matches) {
                 iteration_applied += rule.apply(egraph, matches);
                 if egraph.number_of_nodes() >= self.limits.node_limit {
@@ -154,13 +148,12 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::NoAnalysis;
     use crate::language::testlang::TestLang;
     use crate::language::Id;
     use crate::pattern::{PatVar, Pattern, PatternNode};
 
-    type EG = EGraph<TestLang, NoAnalysis>;
-    type RW = Rewrite<TestLang, NoAnalysis>;
+    type EG = EGraph<TestLang>;
+    type RW = Rewrite<TestLang>;
 
     fn binary_pattern(make: fn([Id; 2]) -> TestLang, a: &str, b: &str) -> Pattern<TestLang> {
         Pattern::from_nodes(vec![

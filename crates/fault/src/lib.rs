@@ -47,7 +47,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 /// * `egraph.saturate` — at the top of each saturation iteration; an abort
 ///   stops the run as if the node cap had been hit.
 /// * `par.spawn` — before the worker fan-out in `chassis::par`; an abort
-///   degrades to the serial path, a panic exercises worker-panic transport.
+///   degrades to the serial path, and so does a panic, which `par` catches
+///   as it would a thread the OS refuses.
 /// * `session.compile` — at the head of each per-target compile job; the
 ///   direct way to prove per-job isolation in `compile_many`.
 /// * `store.read` — in the service result store's disk-read path; an abort

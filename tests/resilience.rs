@@ -9,8 +9,8 @@
 //! leak into another's unarmed run.
 
 use chassis::{
-    CancelToken, CompileError, Config, ErrorKind, Phase, Progress, SampleError, SearchControl,
-    SearchStats, Session,
+    CancelToken, CompilationResult, CompileError, Config, ErrorKind, Phase, Progress, SampleError,
+    SearchControl, SearchStats, Session,
 };
 use fpcore::parse_fpcore;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -334,4 +334,60 @@ fn panic_in_one_job_fails_only_that_job() {
         aggregate.candidates_scored > 0,
         "the surviving jobs did work"
     );
+}
+
+/// One line per grid cell: every frontier program with its cost and error
+/// bit patterns, or the error kind.
+fn grid_lines(grid: &[Vec<Result<CompilationResult, CompileError>>]) -> Vec<String> {
+    grid.iter()
+        .flatten()
+        .map(|cell| match cell {
+            Ok(result) => result
+                .implementations
+                .iter()
+                .map(|imp| {
+                    format!(
+                        "{} {:x} {:x}",
+                        imp.rendered,
+                        imp.cost.to_bits(),
+                        imp.error_bits.to_bits()
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join("; "),
+            Err(e) => format!("error {:?}", e.kind()),
+        })
+        .collect()
+}
+
+#[test]
+fn a_panicking_spawn_takes_the_serial_path() {
+    // `par.spawn` fires on the calling thread before any worker exists, so an
+    // armed panic there unwinds outside every job's isolation boundary. It
+    // must act like a thread the OS refused: the serial path, with the grid
+    // unchanged. Two workers are forced so the fan-out is reached on any
+    // machine.
+    let cores = [
+        parse_fpcore("(FPCore (x) :pre (and (> x 1) (< x 1e6)) (- (sqrt (+ x 1)) (sqrt x)))")
+            .unwrap(),
+        parse_fpcore("(FPCore (x y) :pre (and (> x 0) (< x 1) (> y 0) (< y 1)) (+ (* x y) x))")
+            .unwrap(),
+    ];
+    let targets = [
+        builtin::by_name("c99").unwrap(),
+        builtin::by_name("arith-fma").unwrap(),
+    ];
+    let run = |plan: fault::FaultPlan| {
+        let armed = fault::install(plan);
+        chassis::par::set_thread_count(2);
+        let grid = Session::new(Config::fast()).compile_many(&cores, &targets);
+        chassis::par::set_thread_count(0);
+        (grid_lines(&grid), armed.fires())
+    };
+    let (unarmed, _) = run(fault::FaultPlan::new());
+    let (armed, fires) =
+        run(fault::FaultPlan::new().arm("par.spawn", fault::FaultAction::Panic, 0));
+    assert!(fires > 0, "the armed spawn never fired");
+    assert_eq!(armed, unarmed);
+    assert!(unarmed.iter().all(|line| !line.starts_with("error")));
 }

@@ -1,0 +1,83 @@
+//! E-graph saturation pinned below the search.
+//!
+//! Two digests over every corpus benchmark on `c99` and `arith-fma`:
+//!
+//! * the instruction selector under `Config::fast`: its run report and its
+//!   ordered candidate list, and
+//! * a deliberately truncating run (`match_limit` = 8) over the math and
+//!   desugaring rules: its union count and every class, id and nodes, in
+//!   iteration order.
+//!
+//! The second digest depends on which matches each rule finds first, so a
+//! change to the matcher's order (class order, node order within a class,
+//! pre-order child choice), to the union sequence or to class numbering
+//! fails here before it reaches a frontier. No run may stop on its wall-clock
+//! cap, so neither digest depends on machine speed.
+
+use chassis::isel::{desugaring_rules, InstructionSelector};
+use chassis::lang::expr_to_rec;
+use chassis::lower::variable_types;
+use chassis::{rules, Config};
+use egraph::{EGraph, Runner, RunnerLimits, StopReason};
+use fpcore::hash::ContentHasher;
+use targets::builtin;
+
+const TARGETS: [&str; 2] = ["c99", "arith-fma"];
+
+#[test]
+fn selector_digest_is_pinned() {
+    let config = Config::fast().improve.isel;
+    let targets = TARGETS.map(|name| builtin::by_name(name).unwrap());
+    let selectors = targets
+        .each_ref()
+        .map(|target| InstructionSelector::new(target, config));
+    let mut hasher = ContentHasher::new();
+    for bench in benchsuite::all() {
+        let core = bench.fpcore();
+        for (target, selector) in targets.iter().zip(&selectors) {
+            let result = selector.run(&core.body, &variable_types(&core), core.precision);
+            let report = &result.report;
+            assert_ne!(report.stop_reason, StopReason::TimeLimit, "{}", bench.name);
+            hasher.u64(report.iterations as u64);
+            hasher.str(&format!("{:?}", report.stop_reason));
+            hasher.u64(report.nodes as u64);
+            hasher.u64(report.classes as u64);
+            hasher.u64(report.applied as u64);
+            for candidate in &result.candidates {
+                hasher.str(&candidate.render(target));
+            }
+        }
+    }
+    assert_eq!(hasher.hex_digest(), "d1eb6ae47cd366488339b25d79f69732");
+}
+
+#[test]
+fn truncating_saturation_digest_is_pinned() {
+    let limits = RunnerLimits {
+        iter_limit: 3,
+        node_limit: 3_000,
+        match_limit: 8,
+        ..RunnerLimits::default()
+    };
+    let rule_sets = TARGETS.map(|name| {
+        let mut rule_set = rules::full_rules();
+        rule_set.extend(desugaring_rules(&builtin::by_name(name).unwrap()));
+        rule_set
+    });
+    let mut hasher = ContentHasher::new();
+    for bench in benchsuite::all() {
+        let core = bench.fpcore();
+        for rule_set in &rule_sets {
+            let mut egraph = EGraph::default();
+            egraph.add_expr(&expr_to_rec(&core.body));
+            let report = Runner::with_limits(limits).run(&mut egraph, rule_set);
+            assert_ne!(report.stop_reason, StopReason::TimeLimit, "{}", bench.name);
+            hasher.u64(report.applied as u64);
+            for class in egraph.classes() {
+                hasher.u64(class.id.index() as u64);
+                hasher.str(&format!("{:?}", class.nodes));
+            }
+        }
+    }
+    assert_eq!(hasher.hex_digest(), "6bc877cb6b7386e3f5a63de8f1a52025");
+}
