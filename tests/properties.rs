@@ -6,7 +6,8 @@
 //!   which is Chassis' central correctness property,
 //! * ULP distance behaves like a metric on floats,
 //! * the Pareto frontier never keeps a dominated point,
-//! * Rival's ground truth over the corpus matches a pinned digest.
+//! * Rival's ground truth over the corpus matches a pinned digest, directly
+//!   and through the improve loop's ground-truth cache.
 //!
 //! Cases are generated from the workspace's own deterministic RNG
 //! ([`chassis::rng::Rng`]) rather than proptest (unavailable offline), so every
@@ -14,13 +15,13 @@
 
 use chassis::pareto::ParetoFrontier;
 use chassis::rng::Rng;
-use chassis::{Config, Session};
+use chassis::{Config, GroundTruthCache, Session};
 use fpcore::eval::{env_from, eval_f64};
 use fpcore::hash::ContentHasher;
 use fpcore::{Expr, FpType, RealOp, Symbol};
 use rival::{ground_truth, Evaluator, GroundTruth};
 use std::collections::HashMap;
-use targets::{builtin, eval_float_expr_in};
+use targets::{builtin, eval_float_expr_in, Columns};
 
 /// A small, well-conditioned arithmetic expression over `x` and `y`.
 fn arb_expr(rng: &mut Rng, depth: usize) -> Expr {
@@ -244,4 +245,68 @@ fn corpus_ground_truth_digest_is_pinned() {
         "a953a9146dea1d882d10a81d4c43e016",
         "values/NaN/unsamplable: {tally:?}"
     );
+}
+
+/// Hashes one ground truth: a tag, then the value for a definite result.
+fn hash_truth(hasher: &mut ContentHasher, truth: &GroundTruth) {
+    match truth {
+        GroundTruth::Value(v) => {
+            hasher.u64(0);
+            hasher.f64(*v);
+        }
+        GroundTruth::Nan => hasher.u64(1),
+        GroundTruth::Unsamplable => hasher.u64(2),
+    }
+}
+
+/// The improve loop's ground truths, pinned: for every corpus benchmark, a
+/// [`GroundTruthCache`] over eight seeded points (drawn as in the digest
+/// above) answers every subexpression of the body, in pre-order, at the
+/// benchmark's precision. A 12-term alternating `+`/`-` chain of depth 13 is
+/// added on its own cache. Every answer is hashed, so a change to how the
+/// cache derives a truth on a miss, or to what it returns on a hit, fails here
+/// before it reaches a frontier.
+#[test]
+fn ground_truth_cache_digest_is_pinned() {
+    const POINTS: u64 = 8;
+    let mut hasher = ContentHasher::new();
+    let draw = |stream: u64, args: &[(Symbol, FpType)]| -> Columns {
+        let rows: Vec<Vec<f64>> = (0..POINTS)
+            .map(|point| {
+                let mut rng = Rng::for_stream(0x6007_7207, stream * POINTS + point);
+                args.iter()
+                    .map(|&(_, ty)| arb_coordinate(&mut rng, ty))
+                    .collect()
+            })
+            .collect();
+        Columns::from_rows(args.len(), &rows)
+    };
+    let corpus = benchsuite::all();
+    for (index, bench) in (0u64..).zip(corpus) {
+        let core = bench.fpcore();
+        hasher.str(bench.name);
+        let cache = GroundTruthCache::new(core.arg_names(), draw(index, &core.args));
+        for sub in core.body.subexpressions() {
+            for truth in cache.ground_truths(sub, core.precision).iter() {
+                hash_truth(&mut hasher, truth);
+            }
+        }
+    }
+    let mut chain = "(* x x)".to_string();
+    for term in 1..12 {
+        chain = if term % 2 == 1 {
+            format!("(+ {chain} (/ x 3))")
+        } else {
+            format!("(- {chain} (* x x))")
+        };
+    }
+    let chain = fpcore::parse_expr(&chain).unwrap();
+    assert_eq!(chain.depth(), 13);
+    let x = [(Symbol::new("x"), FpType::Binary64)];
+    let cache = GroundTruthCache::new(vec![x[0].0], draw(corpus.len() as u64, &x));
+    hasher.str("chain");
+    for truth in cache.ground_truths(&chain, FpType::Binary64).iter() {
+        hash_truth(&mut hasher, truth);
+    }
+    assert_eq!(hasher.hex_digest(), "2e08165dab92bf1c713e2da126e29c32");
 }
