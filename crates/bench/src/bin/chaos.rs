@@ -23,7 +23,9 @@
 //! Exit status 1 on any violation; the run is deterministic per `--seed`.
 
 use chassis::{Progress, SearchControl, Session};
-use chassis_bench::{corpus_cores, grid_mismatches, resolve_targets, HarnessOptions, ResultGrid};
+use chassis_bench::{
+    corpus_cores, flag_value, grid_mismatches, resolve_targets, HarnessOptions, ResultGrid,
+};
 use fpcore::FPCore;
 use std::error::Error as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,22 +36,6 @@ use targets::Target;
 const TARGETS: &[&str] = &["c99", "arith-fma"];
 
 type Grid = ResultGrid;
-
-/// Parses `--plans N` (default 200). [`HarnessOptions::from_args`] ignores
-/// flags it does not know, so the two parsers compose.
-fn plans_from_args() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--plans") {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("bad or missing value for --plans");
-                std::process::exit(2);
-            }),
-        None => 200,
-    }
-}
 
 /// One corpus run under a fresh session (sessions cache prepared state, so a
 /// fresh one per run keeps every run independent and deterministic per seed).
@@ -94,8 +80,8 @@ fn check_grid(grid: &Grid) -> Result<usize, String> {
 }
 
 fn main() {
-    let options = HarnessOptions::from_args();
-    let n_plans = plans_from_args();
+    let (options, extra) = HarnessOptions::from_args_with(&["--plans"]);
+    let n_plans: u64 = flag_value("--plans", extra[0].as_deref()).unwrap_or(200);
 
     // A micro search configuration: the gate exercises control flow, not
     // search quality, so a few points and one iteration per job keep hundreds

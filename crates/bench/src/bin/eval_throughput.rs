@@ -9,8 +9,8 @@
 //!
 //! 1. **verifies and optimizes**: every compiled program must pass the IR
 //!    verifier ([`targets::analysis`]) in SSA mode, and its optimized form
-//!    (dead-code elimination + liveness-driven register compaction — the
-//!    program the timed engines actually run) must pass in executable mode;
+//!    (liveness-driven register compaction — the program the timed engines
+//!    actually run) must pass in executable mode;
 //! 2. **asserts bit-identity**: the scalar bytecode engine (fresh *and*
 //!    optimized program) and the block engine (optimized program, at *every*
 //!    swept block size) must reproduce the tree-walk interpreter's output
@@ -22,11 +22,11 @@
 //! 4. **measures the math kernels**: a per-operator table of lane-sweep
 //!    throughput, vecmath kernels vs. per-lane host-libm loops, over the
 //!    corpus input distribution;
-//! 5. **records the trajectory**: writes `BENCH_eval.json` (schema 4:
+//! 5. **records the trajectory**: writes `BENCH_eval.json` (schema 5:
 //!    per-mode, per-block-size and per-target throughput, the per-operator
-//!    kernel table, an `ir` object with aggregate optimizer and
-//!    interval-analysis statistics, and a `history` array carrying every
-//!    previous run's totals forward so successive runs stay comparable);
+//!    kernel table, an `ir` object with the register-slab rows compaction
+//!    saves, and a `history` array carrying every previous run's totals
+//!    forward so successive runs stay comparable);
 //! 6. **gates**: `--min-speedup X` requires corpus-wide scalar-bytecode ≥ X ×
 //!    tree-walk; `--min-block-speedup Y` requires corpus-wide block mode (at
 //!    its best swept size) ≥ Y × scalar bytecode; `--min-target-rel name=R,...`
@@ -48,7 +48,6 @@
 use chassis::lower_fpcore;
 use chassis::rng::Rng;
 use fpcore::eval::semantic_bits;
-use fpcore::Symbol;
 use std::time::{Duration, Instant};
 use targets::analysis::{self, Mode};
 use targets::{eval_float_expr_indexed, Columns, FloatExpr, Target};
@@ -189,16 +188,10 @@ struct Case {
     tree_size: usize,
     /// Instructions in the compiled program (smaller when CSE shared work).
     instrs: usize,
-    /// Instructions after dead-code elimination.
-    instrs_opt: usize,
     /// Register-slab height of the fresh program.
     regs: usize,
     /// Register-slab height after liveness-driven compaction.
     regs_opt: usize,
-    /// Selects the interval analysis proved uniform over the sampled domain.
-    uniform_selects: usize,
-    /// Transcendental calls proved to stay on the kernel's safe range.
-    safe_calls: usize,
     interp_best: Duration,
     bytecode_best: Duration,
     /// Best sweep per swept block size, parallel to `Options::block_sizes`.
@@ -246,7 +239,6 @@ fn measure(
     target_name: &'static str,
     benchmark: &'static str,
     expr: &FloatExpr,
-    domains: &[(Symbol, (f64, f64))],
     options: &Options,
     stream: u64,
 ) -> (Case, usize) {
@@ -273,7 +265,6 @@ fn measure(
         "{benchmark} on {target_name}: optimized program failed IR verification:\n{}",
         analysis::verify::render(&violations)
     );
-    let ia = analysis::interval_analysis(&program, Some(target), domains);
 
     let columns = program.bind_columns(&vars);
     let mut regs = program.new_regs();
@@ -338,7 +329,7 @@ fn measure(
         sink
     });
     // The timed bytecode and block runs use the optimized program — the one
-    // production evaluation paths execute (`targets::compile_with_options`).
+    // production evaluation paths execute (`targets::optimize`).
     let bytecode_best = best_sweep(options.repeats, || {
         let mut sink = 0.0;
         for point in &rows {
@@ -368,12 +359,9 @@ fn measure(
         benchmark,
         target: target_name,
         tree_size: expr.size(),
-        instrs: stats.instrs_before,
-        instrs_opt: stats.instrs_after,
+        instrs: program.num_instrs(),
         regs: stats.regs_before,
         regs_opt: stats.regs_after,
-        uniform_selects: ia.uniform_selects.len(),
-        safe_calls: ia.safe_calls.len(),
         interp_best,
         bytecode_best,
         block_best,
@@ -550,7 +538,7 @@ fn history_entry(
         .map(|(name, pps)| format!("\"{name}\": {pps:.1}"))
         .collect();
     format!(
-        "{{\"schema_version\": 4, \"seed\": {}, \"points_per_case\": {}, \"cases\": {}, \
+        "{{\"schema_version\": 5, \"seed\": {}, \"points_per_case\": {}, \"cases\": {}, \
          \"interp_points_per_sec\": {:.1}, \"bytecode_points_per_sec\": {:.1}, \
          \"block_points_per_sec\": {:.1}, \"per_target_block_points_per_sec\": {{{}}}}}",
         options.seed,
@@ -564,7 +552,7 @@ fn history_entry(
 }
 
 /// Prior history entries to carry forward from the existing out file. A
-/// schema-3 or -4 file contributes its `history` array verbatim; a legacy schema-2
+/// schema-3 to -5 file contributes its `history` array verbatim; a legacy schema-2
 /// file (the pre-vecmath baseline) is summarized into a synthesized entry so
 /// the bench trajectory starts at the old numbers.
 fn prior_history(path: &str) -> Vec<String> {
@@ -642,7 +630,7 @@ fn to_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"eval_throughput\",\n");
-    out.push_str("  \"schema_version\": 4,\n");
+    out.push_str("  \"schema_version\": 5,\n");
     out.push_str(&format!("  \"points_per_case\": {},\n", options.points));
     out.push_str(&format!("  \"repeats\": {},\n", options.repeats));
     out.push_str(&format!("  \"seed\": {},\n", options.seed));
@@ -686,25 +674,14 @@ fn to_json(
         totals.block_pps[totals.chosen] / totals.interp_pps
     ));
     out.push_str("  },\n");
-    // Aggregate optimizer and interval-analysis statistics (schema 4): the
-    // register-slab rows are what liveness-driven compaction saves the block
-    // engine per worker.
+    // Aggregate optimizer statistics (schema 5): the register-slab rows are
+    // what liveness-driven compaction saves the block engine per worker.
     let sum = |f: fn(&Case) -> usize| -> usize { cases.iter().map(f).sum() };
     out.push_str("  \"ir\": {\n");
-    out.push_str(&format!(
-        "    \"instrs_before_dce\": {},\n    \"instrs_after_dce\": {},\n",
-        sum(|c| c.instrs),
-        sum(|c| c.instrs_opt)
-    ));
     out.push_str(&format!(
         "    \"register_slab_rows_before\": {},\n    \"register_slab_rows_after\": {},\n",
         sum(|c| c.regs),
         sum(|c| c.regs_opt)
-    ));
-    out.push_str(&format!(
-        "    \"uniform_selects\": {},\n    \"safe_transcendental_calls\": {},\n",
-        sum(|c| c.uniform_selects),
-        sum(|c| c.safe_calls)
     ));
     out.push_str(&format!(
         "    \"libm_kernel_geomean_points_per_sec\": {:.1}\n",
@@ -738,7 +715,7 @@ fn to_json(
         let block: Vec<f64> = case.block_best.iter().map(|&d| pps(d)).collect();
         out.push_str(&format!(
             "    {{\"benchmark\": \"{}\", \"target\": \"{}\", \"tree_size\": {}, \
-             \"instrs\": {}, \"instrs_opt\": {}, \"regs\": {}, \"regs_opt\": {}, \
+             \"instrs\": {}, \"regs\": {}, \"regs_opt\": {}, \
              \"interp_points_per_sec\": {:.1}, \
              \"bytecode_points_per_sec\": {:.1}, \"block_points_per_sec\": {}, \
              \"speedup\": {:.3}}}{comma}\n",
@@ -746,7 +723,6 @@ fn to_json(
             case.target,
             case.tree_size,
             case.instrs,
-            case.instrs_opt,
             case.regs,
             case.regs_opt,
             pps(case.interp_best),
@@ -780,13 +756,11 @@ fn main() {
             let Ok(program) = lower_fpcore(&core, target) else {
                 continue;
             };
-            let domains = analysis::domains_from_pre(core.pre.as_ref());
             let (case, diverged) = measure(
                 target,
                 target_name,
                 benchmark.name,
                 &program,
-                &domains,
                 &options,
                 stream,
             );
@@ -861,14 +835,9 @@ fn main() {
     );
     let sum = |f: fn(&Case) -> usize| -> usize { cases.iter().map(f).sum() };
     println!(
-        "  ir: {} -> {} instrs (DCE), {} -> {} register-slab rows (compaction), \
-         {} uniform selects, {} safe transcendental calls",
-        sum(|c| c.instrs),
-        sum(|c| c.instrs_opt),
+        "  ir: {} -> {} register-slab rows (compaction)",
         sum(|c| c.regs),
-        sum(|c| c.regs_opt),
-        sum(|c| c.uniform_selects),
-        sum(|c| c.safe_calls)
+        sum(|c| c.regs_opt)
     );
     println!("  math-kernel sweeps (corpus input distribution, per operator):");
     for k in &op_kernels {

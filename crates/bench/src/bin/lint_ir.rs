@@ -7,15 +7,12 @@
 //! 1. every builtin target description must verify
 //!    ([`analysis::verify_target`]);
 //! 2. every compiled program must verify in SSA mode (with the
-//!    target-pairing rules), and its optimized form (dead-code elimination +
-//!    register compaction) must verify in executable mode;
+//!    target-pairing rules), and its optimized form (register compaction)
+//!    must verify in executable mode;
 //! 3. every seeded invariant-breaking mutant of every compiled program must
 //!    be *rejected* by the verifier — one surviving mutant is a verifier
 //!    hole — and every [`MutationKind`] must fire somewhere in the suite;
-//! 4. as a by-product, prints aggregate optimization and interval-analysis
-//!    statistics (instructions removed, slab height saved, provably-uniform
-//!    selects, provably special-case-free transcendental calls with domains
-//!    taken from each benchmark's precondition).
+//! 4. as a by-product, prints the register-slab height compaction saved.
 //!
 //! The suite is the benchmark corpus, a few branch-heavy synthetic cases
 //! (the corpus is straight-line, so selects and skip ranges would otherwise
@@ -33,7 +30,7 @@
 use chassis::lower_fpcore;
 use fpcore::Symbol;
 use std::collections::HashSet;
-use targets::analysis::{self, domains_from_pre, Mode, MutationKind};
+use targets::analysis::{self, Mode, MutationKind};
 use targets::{builtin, FloatExpr, OpId, Program, Target};
 
 /// Branch-heavy synthetic cases that complement the corpus: the corpus
@@ -64,13 +61,8 @@ struct Lint {
     seed: u64,
     diagnostics: usize,
     cases: usize,
-    instrs_before: usize,
-    instrs_after: usize,
     regs_before: usize,
     regs_after: usize,
-    uniform_selects: usize,
-    safe_calls: usize,
-    total_selects: usize,
     mutants_total: usize,
     mutants_killed: usize,
     kinds_killed: HashSet<MutationKind>,
@@ -87,15 +79,9 @@ impl Lint {
         }
     }
 
-    /// Verifies one compiled program in both modes, accumulates optimization
-    /// and interval statistics, and runs the mutation kill-check on it.
-    fn check_program(
-        &mut self,
-        case: &str,
-        target: &Target,
-        program: &Program,
-        domains: &[(Symbol, (f64, f64))],
-    ) {
+    /// Verifies one compiled program in both modes, accumulates compaction
+    /// statistics, and runs the mutation kill-check on it.
+    fn check_program(&mut self, case: &str, target: &Target, program: &Program) {
         self.cases += 1;
         self.report(
             &format!("{case} (fresh compile, SSA mode)"),
@@ -106,15 +92,8 @@ impl Lint {
             &format!("{case} (optimized, executable mode)"),
             &analysis::verify_with_target(&optimized, target, Mode::Executable),
         );
-        self.instrs_before += stats.instrs_before;
-        self.instrs_after += stats.instrs_after;
         self.regs_before += stats.regs_before;
         self.regs_after += stats.regs_after;
-
-        let ia = analysis::interval_analysis(program, Some(target), domains);
-        self.uniform_selects += ia.uniform_selects.len();
-        self.safe_calls += ia.safe_calls.len();
-        self.total_selects += program.num_skippable_arms();
 
         // The mutation kill-check: every invariant-breaking mutant must be
         // rejected. The per-case seed is derived so failures name it.
@@ -191,8 +170,7 @@ fn main() {
             };
             let case = format!("{name} on {}", target.name);
             let program = targets::compile(target, &expr);
-            let domains = domains_from_pre(core.pre.as_ref());
-            lint.check_program(&case, target, &program, &domains);
+            lint.check_program(&case, target, &program);
         }
 
         // One single-call program per native operator: exercises the
@@ -212,7 +190,7 @@ fn main() {
             let expr = FloatExpr::Op(OpId(index as u32), args);
             let case = format!("operator {} on {}", op.name, target.name);
             let program = targets::compile(target, &expr);
-            lint.check_program(&case, target, &program, &[]);
+            lint.check_program(&case, target, &program);
         }
     }
 
@@ -230,13 +208,8 @@ fn main() {
         lint.seed
     );
     println!(
-        "  optimize: {} -> {} instrs (DCE), {} -> {} register-slab rows (compaction)",
-        lint.instrs_before, lint.instrs_after, lint.regs_before, lint.regs_after
-    );
-    println!(
-        "  interval: {} provably-uniform selects, {} special-case-free transcendental calls \
-         ({} skippable arms total)",
-        lint.uniform_selects, lint.safe_calls, lint.total_selects
+        "  optimize: {} -> {} register-slab rows (compaction)",
+        lint.regs_before, lint.regs_after
     );
     println!(
         "  mutation: {}/{} mutants rejected, {}/{} kinds exercised",

@@ -24,7 +24,7 @@ use chassis::accuracy::mean_bits_of_error;
 use chassis::lower_fpcore;
 use chassis::par;
 use chassis::sample::{SampleSet, Sampler};
-use chassis_bench::HarnessOptions;
+use chassis_bench::{flag_value, HarnessOptions};
 use std::time::{Duration, Instant};
 use targets::{builtin, FloatExpr, Target};
 
@@ -101,25 +101,10 @@ fn best_of(target: &Target, workloads: &[Workload]) -> (Duration, Vec<f64>) {
     (best, errors)
 }
 
-/// Parses `--min-speedup X` (0 = no gate). [`HarnessOptions::from_args`]
-/// ignores flags it does not know, so the two parsers compose.
-fn min_speedup_from_args() -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--min-speedup") {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("bad or missing value for --min-speedup");
-                std::process::exit(2);
-            }),
-        None => 0.0,
-    }
-}
-
 fn main() {
-    let options = HarnessOptions::from_args();
-    let min_speedup = min_speedup_from_args();
+    let (options, extra) = HarnessOptions::from_args_with(&["--min-speedup"]);
+    // 0 = no gate.
+    let min_speedup: f64 = flag_value("--min-speedup", extra[0].as_deref()).unwrap_or(0.0);
     let target = builtin::by_name("c99").expect("c99 target");
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 

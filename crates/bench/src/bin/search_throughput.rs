@@ -1,48 +1,39 @@
-//! End-to-end search throughput: corpus compiles under the serial/uniform
-//! baseline vs. the mixed-precision ground-truth engine vs. the fully
-//! parallel search — with a corpus-wide frontier bit-identity check. This is
-//! the CI perf gate for the search loop itself (the improve/regimes phases),
+//! End-to-end search throughput: corpus compiles on one thread vs. on all
+//! cores, with a corpus-wide frontier bit-identity check. This is the CI
+//! perf gate for the search loop itself (the improve/regimes phases),
 //! complementing `eval_throughput` (the per-point evaluation hot path) and
 //! `par_speedup` (the accuracy-sweep primitive).
 //!
-//! Three configurations compile the same corpus at the same seed:
+//! Two configurations compile the same corpus at the same seed:
 //!
-//! 1. `serial_uniform` — one thread, `TruthEngine::Uniform`: the pre-parallel,
-//!    pre-adaptive baseline;
-//! 2. `serial_adaptive` — one thread, `TruthEngine::Adaptive`: isolates the
-//!    mixed-precision ground-truth win (selective re-evaluation of
-//!    non-converged nodes, cross-expression reuse, DAG balancing);
-//! 3. `parallel_adaptive` — all cores, `TruthEngine::Adaptive`: adds
-//!    intra-compilation parallelism (candidate batches, scoring, regime
-//!    sweeps) and the `compile_many` job fan-out.
+//! 1. `serial` — one thread: the baseline;
+//! 2. `parallel` — all cores: adds intra-compilation parallelism (candidate
+//!    batches, scoring, regime sweeps) and the `compile_many` job fan-out.
 //!
-//! Every configuration must produce **bit-identical frontiers** (same
-//! programs, same costs, same error bits) on every `(benchmark, target)`
-//! cell — exit 1 otherwise. Each configuration runs the corpus twice through
-//! one session: the *cold* sweep pays sampling, ground truth, and search; the
-//! *warm* sweep replays it against the session's prepared state and populated
-//! ground-truth caches.
+//! Both must produce **bit-identical frontiers** (same programs, same costs,
+//! same error bits) on every `(benchmark, target)` cell — exit 1 otherwise.
+//! Each configuration runs the corpus twice through one session: the *cold*
+//! sweep pays sampling, ground truth, and search; the *warm* sweep replays
+//! it against the session's prepared state and populated ground-truth
+//! caches.
 //!
 //! Per-phase wall-clock (lowering/improve/regimes/final), saturation time,
 //! candidates scored, and the ground-truth cache counters are aggregated from
-//! each result's `SearchStats` and archived in `BENCH_search.json` (schema 1)
+//! each result's `SearchStats` and archived in `BENCH_search.json` (schema 2)
 //! with a `history` array carrying prior runs forward.
 //!
-//! Gates (machine-relative by construction — both sides of each ratio are
-//! measured in the same run on the same machine):
-//!
-//! * `--min-par-speedup X` requires cold corpus wall-clock of
-//!   `serial_adaptive` ≥ X × `parallel_adaptive` (skipped on one core);
-//! * `--min-gt-speedup X` requires ground-truth eval time of
-//!   `serial_uniform` ≥ X × `serial_adaptive`.
+//! `--min-par-speedup X` gates the run: cold corpus wall-clock of `serial`
+//! must be ≥ X × `parallel` (skipped on one core). Both sides are measured in
+//! the same run on the same machine, so the floor is machine-relative by
+//! construction.
 //!
 //! ```text
 //! cargo run --release -p chassis-bench --bin search_throughput -- \
-//!     --limit 8 --min-par-speedup 2 --min-gt-speedup 1.5 --out BENCH_search.json
+//!     --limit 8 --min-par-speedup 2 --out BENCH_search.json
 //! ```
 
-use chassis::{par, Config, SearchStats, Session, TruthEngine};
-use chassis_bench::{corpus_cores, grid_mismatches, HarnessOptions, ResultGrid};
+use chassis::{par, Config, SearchStats, Session};
+use chassis_bench::{corpus_cores, flag_value, grid_mismatches, HarnessOptions, ResultGrid};
 use fpcore::FPCore;
 use std::time::{Duration, Instant};
 use targets::Target;
@@ -50,102 +41,6 @@ use targets::Target;
 /// Targets every sweep compiles for: one all-emulated (c99) and one
 /// native-arithmetic (arith-fma) target.
 const TARGETS: &[&str] = &["c99", "arith-fma"];
-
-struct Options {
-    limit: usize,
-    seed: Option<u64>,
-    thorough: bool,
-    min_par_speedup: f64,
-    min_gt_speedup: f64,
-    out: String,
-}
-
-impl Options {
-    /// Strict parsing: this binary is a CI gate, so an unknown flag or an
-    /// unparsable value aborts (exit 2) instead of silently falling back to a
-    /// default that could leave the gate disabled.
-    fn from_args() -> Options {
-        let mut options = Options {
-            limit: 8,
-            seed: None,
-            thorough: false,
-            min_par_speedup: 0.0,
-            min_gt_speedup: 0.0,
-            out: "BENCH_search.json".to_owned(),
-        };
-        let usage = "usage: search_throughput [--limit N] [--full] [--seed N] \
-                     [--thorough] [--min-par-speedup X] [--min-gt-speedup X] \
-                     [--out PATH]";
-        fn value<T: std::str::FromStr>(args: &[String], i: usize, usage: &str) -> T {
-            args.get(i + 1)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("bad or missing value for {}\n{usage}", args[i]);
-                    std::process::exit(2);
-                })
-        }
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--limit" => {
-                    options.limit = value(&args, i, usage);
-                    i += 2;
-                }
-                "--full" => {
-                    options.limit = usize::MAX;
-                    i += 1;
-                }
-                "--seed" => {
-                    options.seed = Some(value(&args, i, usage));
-                    i += 2;
-                }
-                "--thorough" => {
-                    options.thorough = true;
-                    i += 1;
-                }
-                "--min-par-speedup" => {
-                    options.min_par_speedup = value(&args, i, usage);
-                    i += 2;
-                }
-                "--min-gt-speedup" => {
-                    options.min_gt_speedup = value(&args, i, usage);
-                    i += 2;
-                }
-                "--out" => {
-                    options.out = args.get(i + 1).cloned().unwrap_or_else(|| {
-                        eprintln!("missing value for --out\n{usage}");
-                        std::process::exit(2);
-                    });
-                    i += 2;
-                }
-                other => {
-                    eprintln!("unknown option {other:?}\n{usage}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        options
-    }
-
-    fn config(&self) -> Config {
-        let harness = HarnessOptions {
-            limit: self.limit,
-            fast: !self.thorough,
-            seed: self.seed,
-        };
-        harness.config()
-    }
-
-    fn corpus(&self) -> Vec<FPCore> {
-        let harness = HarnessOptions {
-            limit: self.limit,
-            fast: !self.thorough,
-            seed: self.seed,
-        };
-        corpus_cores(&harness.benchmarks())
-    }
-}
 
 /// Aggregated outcome of one corpus sweep configuration.
 struct Sweep {
@@ -161,10 +56,8 @@ struct Sweep {
     jobs_failed: usize,
     gt_eval: Duration,
     gt_node_evals: u64,
-    gt_evals_saved: u64,
     gt_hits: usize,
     gt_misses: usize,
-    balanced: usize,
     rows: ResultGrid,
 }
 
@@ -208,17 +101,15 @@ fn run_sweep(
         jobs_failed: agg.jobs_failed,
         gt_eval: agg.truths.eval_time,
         gt_node_evals: agg.truths.node_evals,
-        gt_evals_saved: agg.truths.evals_saved(),
         gt_hits: agg.truths.hits,
         gt_misses: agg.truths.misses,
-        balanced: agg.truths.balanced,
         rows,
     }
 }
 
 /// Asserts two corpus sweeps produced bit-identical frontiers everywhere.
-/// Error cells are matched loosely (`strict_errors = false`): engine choice
-/// may legitimately change a failure's detail, but never Ok vs. Err.
+/// Error cells are matched loosely (`strict_errors = false`): the thread
+/// count may legitimately change a failure's detail, but never Ok vs. Err.
 fn assert_identical(reference: &Sweep, other: &Sweep) -> bool {
     let mismatches = grid_mismatches(&reference.rows, &other.rows, false);
     for m in &mismatches {
@@ -236,8 +127,8 @@ fn sweep_json(s: &Sweep) -> String {
         "{{\"cold_ms\": {:.1}, \"warm_ms\": {:.1}, \"lowering_ms\": {:.1}, \
          \"improve_ms\": {:.1}, \"regimes_ms\": {:.1}, \"final_ms\": {:.1}, \
          \"saturation_ms\": {:.1}, \"candidates_scored\": {}, \"jobs_failed\": {}, \
-         \"gt_eval_ms\": {:.1}, \"gt_node_evals\": {}, \"gt_evals_saved\": {}, \
-         \"gt_hits\": {}, \"gt_misses\": {}, \"balanced\": {}}}",
+         \"gt_eval_ms\": {:.1}, \"gt_node_evals\": {}, \"gt_hits\": {}, \
+         \"gt_misses\": {}}}",
         ms(s.cold),
         ms(s.warm),
         ms(s.lowering),
@@ -249,10 +140,8 @@ fn sweep_json(s: &Sweep) -> String {
         s.jobs_failed,
         ms(s.gt_eval),
         s.gt_node_evals,
-        s.gt_evals_saved,
         s.gt_hits,
         s.gt_misses,
-        s.balanced,
     )
 }
 
@@ -281,12 +170,11 @@ fn to_json(
     cores_available: usize,
     sweeps: &[&Sweep],
     par_speedup: f64,
-    gt_speedup: f64,
     history: &[String],
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema_version\": 1,\n");
+    out.push_str("  \"schema_version\": 2,\n");
     out.push_str(&format!("  \"seed\": {seed},\n"));
     out.push_str(&format!("  \"benchmarks\": {n_benchmarks},\n"));
     let names: Vec<String> = TARGETS.iter().map(|t| format!("\"{t}\"")).collect();
@@ -302,9 +190,7 @@ fn to_json(
         ));
     }
     out.push_str("  },\n");
-    out.push_str(&format!(
-        "  \"par_speedup\": {par_speedup:.2},\n  \"gt_speedup\": {gt_speedup:.2},\n"
-    ));
+    out.push_str(&format!("  \"par_speedup\": {par_speedup:.2},\n"));
     out.push_str("  \"history\": [\n");
     for (i, entry) in history.iter().enumerate() {
         let comma = if i + 1 < history.len() { "," } else { "" };
@@ -315,10 +201,14 @@ fn to_json(
 }
 
 fn main() {
-    let options = Options::from_args();
-    let cores_list = options.corpus();
+    let (options, extra) = HarnessOptions::from_args_with(&["--min-par-speedup", "--out"]);
+    // 0 = no gate.
+    let min_par_speedup: f64 = flag_value("--min-par-speedup", extra[0].as_deref()).unwrap_or(0.0);
+    let out = extra[1].as_deref().unwrap_or("BENCH_search.json");
+    let cores_list = corpus_cores(&options.benchmarks());
     let target_list: Vec<Target> = chassis_bench::resolve_targets(TARGETS);
-    let seed = options.config().seed;
+    let config: Config = options.config();
+    let seed = config.seed;
     let cores_available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     println!(
         "{} benchmarks x {} targets, seed {seed}, {cores_available} core(s) available\n",
@@ -327,29 +217,21 @@ fn main() {
     );
 
     par::set_thread_count(1);
-    let mut config = options.config();
-    config.truth_engine = TruthEngine::Uniform;
-    let serial_uniform = run_sweep("serial_uniform", &cores_list, &target_list, config);
-
-    let mut config = options.config();
-    config.truth_engine = TruthEngine::Adaptive;
-    let serial_adaptive = run_sweep("serial_adaptive", &cores_list, &target_list, config.clone());
-
+    let serial = run_sweep("serial", &cores_list, &target_list, config.clone());
     par::set_thread_count(0);
     let workers = par::effective_threads(usize::MAX);
-    let parallel_adaptive = run_sweep("parallel_adaptive", &cores_list, &target_list, config);
+    let parallel = run_sweep("parallel", &cores_list, &target_list, config);
 
-    let identical = assert_identical(&serial_uniform, &serial_adaptive)
-        & assert_identical(&serial_uniform, &parallel_adaptive);
+    let identical = assert_identical(&serial, &parallel);
 
-    let sweeps = [&serial_uniform, &serial_adaptive, &parallel_adaptive];
+    let sweeps = [&serial, &parallel];
     println!(
-        "{:<18} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>12}",
-        "run", "cold ms", "warm ms", "improve", "regimes", "gt ms", "gt evals", "gt saved"
+        "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
+        "run", "cold ms", "warm ms", "improve", "regimes", "gt ms", "gt evals"
     );
     for s in sweeps {
         println!(
-            "{:<18} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>10} {:>12}",
+            "{:<10} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>10}",
             s.label,
             ms(s.cold),
             ms(s.warm),
@@ -357,36 +239,23 @@ fn main() {
             ms(s.regimes),
             ms(s.gt_eval),
             s.gt_node_evals,
-            s.gt_evals_saved,
         );
     }
 
-    let par_speedup =
-        serial_adaptive.cold.as_secs_f64() / parallel_adaptive.cold.as_secs_f64().max(1e-12);
-    let gt_speedup =
-        serial_uniform.gt_eval.as_secs_f64() / serial_adaptive.gt_eval.as_secs_f64().max(1e-12);
-    let end_to_end =
-        serial_uniform.cold.as_secs_f64() / parallel_adaptive.cold.as_secs_f64().max(1e-12);
+    let par_speedup = serial.cold.as_secs_f64() / parallel.cold.as_secs_f64().max(1e-12);
+    println!("\nparallel speedup ({workers} workers): {par_speedup:.2}x");
     println!(
-        "\nparallel speedup ({workers} workers): {par_speedup:.2}x   \
-         ground-truth speedup (uniform/adaptive): {gt_speedup:.2}x   \
-         end-to-end (baseline/full): {end_to_end:.2}x"
-    );
-    println!(
-        "frontiers bit-identical across engines and thread counts: {}",
+        "frontiers bit-identical across thread counts: {}",
         if identical { "yes" } else { "NO" }
     );
 
-    let mut history = prior_history(&options.out);
+    let mut history = prior_history(out);
     history.push(format!(
-        "{{\"schema_version\": 1, \"seed\": {seed}, \"benchmarks\": {}, \"cores\": {cores_available}, \
-         \"serial_uniform_cold_ms\": {:.1}, \"serial_adaptive_cold_ms\": {:.1}, \
-         \"parallel_adaptive_cold_ms\": {:.1}, \"par_speedup\": {par_speedup:.2}, \
-         \"gt_speedup\": {gt_speedup:.2}, \"end_to_end_speedup\": {end_to_end:.2}}}",
+        "{{\"schema_version\": 2, \"seed\": {seed}, \"benchmarks\": {}, \"cores\": {cores_available}, \
+         \"serial_cold_ms\": {:.1}, \"parallel_cold_ms\": {:.1}, \"par_speedup\": {par_speedup:.2}}}",
         cores_list.len(),
-        ms(serial_uniform.cold),
-        ms(serial_adaptive.cold),
-        ms(parallel_adaptive.cold),
+        ms(serial.cold),
+        ms(parallel.cold),
     ));
     let json = to_json(
         seed,
@@ -394,35 +263,26 @@ fn main() {
         cores_available,
         &sweeps,
         par_speedup,
-        gt_speedup,
         &history,
     );
-    if let Err(e) = std::fs::write(&options.out, &json) {
-        eprintln!("error: cannot write {}: {e}", options.out);
+    if let Err(e) = std::fs::write(out, &json) {
+        eprintln!("error: cannot write {out}: {e}");
         std::process::exit(1);
     }
-    println!("wrote {}", options.out);
+    println!("wrote {out}");
 
     if !identical {
-        eprintln!("error: search results changed across engines/thread counts");
+        eprintln!("error: search results changed across thread counts");
         std::process::exit(1);
     }
-    if options.min_par_speedup > 0.0 {
+    if min_par_speedup > 0.0 {
         if cores_available == 1 {
             println!("(single core: --min-par-speedup gate skipped)");
-        } else if par_speedup < options.min_par_speedup {
+        } else if par_speedup < min_par_speedup {
             eprintln!(
-                "error: parallel speedup {par_speedup:.2}x below the floor {:.2}x",
-                options.min_par_speedup
+                "error: parallel speedup {par_speedup:.2}x below the floor {min_par_speedup:.2}x"
             );
             std::process::exit(1);
         }
-    }
-    if options.min_gt_speedup > 0.0 && gt_speedup < options.min_gt_speedup {
-        eprintln!(
-            "error: ground-truth speedup {gt_speedup:.2}x below the floor {:.2}x",
-            options.min_gt_speedup
-        );
-        std::process::exit(1);
     }
 }

@@ -100,38 +100,60 @@ impl Default for HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses `--limit N`, `--full`, `--thorough` and `--seed N` from
-    /// `std::env::args`.
-    pub fn from_args() -> HarnessOptions {
+    /// Parses the harness flags — `--limit N`, `--full`, `--thorough` and
+    /// `--seed N` — from `args`, the arguments after the program name.
+    /// `extra` declares the flags the calling binary reads itself; each takes
+    /// one value, returned in declaration order (`None` when absent).
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, a missing value, or a `--limit`/`--seed` value that
+    /// does not parse. Nothing falls back to a default: a mistyped flag must
+    /// not quietly disable a gate.
+    pub fn parse(
+        args: &[String],
+        extra: &[&str],
+    ) -> Result<(HarnessOptions, Vec<Option<String>>), String> {
         let mut options = HarnessOptions::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--limit" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        options.limit = v;
-                    }
-                    i += 2;
-                }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        options.seed = Some(v);
-                    }
-                    i += 2;
-                }
-                "--full" => {
-                    options.limit = usize::MAX;
-                    i += 1;
-                }
-                "--thorough" => {
-                    options.fast = false;
-                    i += 1;
-                }
-                _ => i += 1,
+        let mut values = vec![None; extra.len()];
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || {
+                args.next()
+                    .ok_or_else(|| format!("missing value for {flag}"))
+            };
+            match flag.as_str() {
+                "--full" => options.limit = usize::MAX,
+                "--thorough" => options.fast = false,
+                "--limit" => options.limit = parse_value(flag, value()?)?,
+                "--seed" => options.seed = Some(parse_value(flag, value()?)?),
+                other => match extra.iter().position(|e| *e == other) {
+                    Some(slot) => values[slot] = Some(value()?.clone()),
+                    None => return Err(format!("unknown flag {other:?}")),
+                },
             }
         }
-        options
+        Ok((options, values))
+    }
+
+    /// [`HarnessOptions::parse`] over the process arguments, for a binary
+    /// that reads no flags of its own.
+    pub fn from_args() -> HarnessOptions {
+        HarnessOptions::from_args_with(&[]).0
+    }
+
+    /// [`HarnessOptions::parse`] over the process arguments. On an error it
+    /// prints the error and a usage line, and exits with status 2.
+    pub fn from_args_with(extra: &[&str]) -> (HarnessOptions, Vec<Option<String>>) {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        HarnessOptions::parse(&args, extra).unwrap_or_else(|error| {
+            let flags: String = extra.iter().map(|f| format!(" [{f} V]")).collect();
+            eprintln!(
+                "error: {error}
+usage: [--limit N] [--full] [--thorough] [--seed N]{flags}"
+            );
+            std::process::exit(2)
+        })
     }
 
     /// The search configuration implied by the options.
@@ -181,6 +203,24 @@ impl HarnessOptions {
         }
         picked
     }
+}
+
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("bad value {value:?} for {flag}"))
+}
+
+/// Parses the value of a flag declared to [`HarnessOptions::from_args_with`]
+/// (`None` when the flag was absent). On a bad value it prints the error and
+/// exits with status 2.
+pub fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Option<T> {
+    value.map(|value| {
+        parse_value(flag, value).unwrap_or_else(|error| {
+            eprintln!("error: {error}");
+            std::process::exit(2)
+        })
+    })
 }
 
 /// Resolves builtin target names in order, warning on stderr and skipping any
@@ -543,6 +583,59 @@ mod tests {
         let named = named_corpus_cores();
         assert_eq!(named.len(), all.len());
         assert!(named.iter().zip(all).all(|((name, _), b)| name == b.name));
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn harness_flags_parse_with_declared_extras() {
+        let (options, extra) = HarnessOptions::parse(
+            &args(&[
+                "--limit",
+                "3",
+                "--thorough",
+                "--min-speedup",
+                "2",
+                "--seed",
+                "7",
+            ]),
+            &["--plans", "--min-speedup"],
+        )
+        .unwrap();
+        assert_eq!(
+            (options.limit, options.fast, options.seed),
+            (3, false, Some(7))
+        );
+        assert_eq!(extra, vec![None, Some("2".to_owned())]);
+        let (options, extra) = HarnessOptions::parse(&args(&["--full"]), &[]).unwrap();
+        assert_eq!(
+            (options.limit, options.fast, options.seed),
+            (usize::MAX, true, None)
+        );
+        assert!(extra.is_empty());
+    }
+
+    #[test]
+    fn unknown_harness_flags_are_errors() {
+        let error =
+            HarnessOptions::parse(&args(&["--min-speedpu", "2"]), &["--min-speedup"]).unwrap_err();
+        assert!(error.contains("--min-speedpu"), "{error}");
+        // A flag another binary declares is unknown to one that does not.
+        assert!(HarnessOptions::parse(&args(&["--min-speedup", "2"]), &[]).is_err());
+    }
+
+    #[test]
+    fn bad_harness_values_are_errors() {
+        let error = HarnessOptions::parse(&args(&["--limit", "abc"]), &[]).unwrap_err();
+        assert!(
+            error.contains("--limit") && error.contains("abc"),
+            "{error}"
+        );
+        assert!(HarnessOptions::parse(&args(&["--seed", "-1"]), &[]).is_err());
+        assert!(HarnessOptions::parse(&args(&["--seed"]), &[]).is_err());
+        assert!(HarnessOptions::parse(&args(&["--plans"]), &["--plans"]).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::par;
 use crate::sample::SampleSet;
 use fpcore::{FpType, Symbol};
-use targets::{Columns, CompileOptions, FloatExpr, Target};
+use targets::{Columns, FloatExpr, Target};
 
 /// Maps a float to an ordered integer such that adjacent floats map to adjacent
 /// integers (the standard "Bruce Dawson" trick), making ULP distance a simple
@@ -98,17 +98,16 @@ pub fn max_bits(ty: FpType) -> f64 {
 /// The bits of error of a program at every point of a columnar batch, in
 /// point order.
 ///
-/// The program is compiled to bytecode once ([`targets::compile_with_options()`]
-/// — by default dead-code elimination plus register compaction, both
-/// bit-identity preserving) and the immutable compiled form is shared by every
-/// worker; points are then scored
+/// The program is compiled to bytecode once and optimized
+/// ([`targets::optimize()`], register compaction, which preserves bit
+/// identity), and the immutable compiled form is shared by every worker;
+/// points are then scored
 /// in blocks ([`targets::block`]): each worker sweeps its contiguous share of
 /// the batch against a per-worker columnar register file, one instruction
 /// dispatch per block rather than per point, with zero allocation in the
 /// steady state. The block engine is bit-identical to the scalar bytecode
 /// engine and the tree-walk interpreter at every block width, so the error
-/// vector is the same whatever the thread count, block width, or optimization
-/// level.
+/// vector is the same whatever the thread count or block width.
 pub fn per_point_errors(
     target: &Target,
     expr: &FloatExpr,
@@ -117,38 +116,14 @@ pub fn per_point_errors(
     truths: &[f64],
     ty: FpType,
 ) -> Vec<f64> {
-    per_point_errors_with(
-        target,
-        expr,
-        vars,
-        points,
-        truths,
-        ty,
-        &CompileOptions::default(),
-    )
-}
-
-/// [`per_point_errors`] with explicit [`CompileOptions`] (opt level, verifier
-/// mode, block width override), as threaded down from the session layer's
-/// [`SearchControl`](crate::session::SearchControl).
-#[allow(clippy::too_many_arguments)]
-pub fn per_point_errors_with(
-    target: &Target,
-    expr: &FloatExpr,
-    vars: &[Symbol],
-    points: &Columns,
-    truths: &[f64],
-    ty: FpType,
-    options: &CompileOptions,
-) -> Vec<f64> {
     assert_eq!(
         points.len(),
         truths.len(),
         "each point needs a ground truth"
     );
-    let (program, _) = targets::compile_with_options(target, expr, options);
+    let (program, _) = targets::optimize(&targets::compile(target, expr));
     let columns = program.bind_columns(vars);
-    let block = options.block_width_for(points.len());
+    let block = targets::block::block_width_for(points.len());
     par::par_map_blocks_with(
         points.len(),
         block,
@@ -175,32 +150,10 @@ pub fn mean_bits_of_error(
     truths: &[f64],
     ty: FpType,
 ) -> f64 {
-    mean_bits_of_error_with(
-        target,
-        expr,
-        vars,
-        points,
-        truths,
-        ty,
-        &CompileOptions::default(),
-    )
-}
-
-/// [`mean_bits_of_error`] with explicit [`CompileOptions`].
-#[allow(clippy::too_many_arguments)]
-pub fn mean_bits_of_error_with(
-    target: &Target,
-    expr: &FloatExpr,
-    vars: &[Symbol],
-    points: &Columns,
-    truths: &[f64],
-    ty: FpType,
-    options: &CompileOptions,
-) -> f64 {
     if points.is_empty() {
         return 0.0;
     }
-    let bits = per_point_errors_with(target, expr, vars, points, truths, ty, options);
+    let bits = per_point_errors(target, expr, vars, points, truths, ty);
     bits.iter().sum::<f64>() / points.len() as f64
 }
 
@@ -217,48 +170,26 @@ pub fn accuracy_bits(mean_error_bits: f64, ty: FpType) -> f64 {
 /// Evaluates a candidate on the training set, returning
 /// `(mean bits of error, accuracy)`.
 pub fn evaluate_on_train(target: &Target, expr: &FloatExpr, samples: &SampleSet) -> (f64, f64) {
-    evaluate_on_train_with(target, expr, samples, &CompileOptions::default())
-}
-
-/// [`evaluate_on_train`] with explicit [`CompileOptions`].
-pub fn evaluate_on_train_with(
-    target: &Target,
-    expr: &FloatExpr,
-    samples: &SampleSet,
-    options: &CompileOptions,
-) -> (f64, f64) {
-    let err = mean_bits_of_error_with(
+    let err = mean_bits_of_error(
         target,
         expr,
         &samples.vars,
         &samples.train,
         &samples.train_truth,
         samples.output_type,
-        options,
     );
     (err, accuracy_bits(err, samples.output_type))
 }
 
 /// Evaluates a candidate on the held-out test set.
 pub fn evaluate_on_test(target: &Target, expr: &FloatExpr, samples: &SampleSet) -> (f64, f64) {
-    evaluate_on_test_with(target, expr, samples, &CompileOptions::default())
-}
-
-/// [`evaluate_on_test`] with explicit [`CompileOptions`].
-pub fn evaluate_on_test_with(
-    target: &Target,
-    expr: &FloatExpr,
-    samples: &SampleSet,
-    options: &CompileOptions,
-) -> (f64, f64) {
-    let err = mean_bits_of_error_with(
+    let err = mean_bits_of_error(
         target,
         expr,
         &samples.vars,
         &samples.test,
         &samples.test_truth,
         samples.output_type,
-        options,
     );
     (err, accuracy_bits(err, samples.output_type))
 }

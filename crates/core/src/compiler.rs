@@ -10,7 +10,7 @@
 
 use crate::improve::ImproveConfig;
 use crate::isel::IselConfig;
-use crate::sample::{SampleError, SampleSet, TruthEngine};
+use crate::sample::{SampleError, SampleSet};
 use crate::session::SearchStats;
 use targets::FloatExpr;
 
@@ -27,11 +27,6 @@ pub struct Config {
     pub improve: ImproveConfig,
     /// Whether to run regime inference at the end.
     pub regimes: bool,
-    /// Which ground-truth engine the session's shared cache uses. Both
-    /// engines produce bit-identical truths; [`TruthEngine::Adaptive`] (the
-    /// default) re-evaluates only non-converged nodes across precision rungs
-    /// and reuses converged subexpression truths across candidates.
-    pub truth_engine: TruthEngine,
 }
 
 impl Default for Config {
@@ -42,7 +37,6 @@ impl Default for Config {
             seed: 20250413,
             improve: ImproveConfig::default(),
             regimes: true,
-            truth_engine: TruthEngine::default(),
         }
     }
 }
@@ -82,15 +76,9 @@ impl Config {
     /// content-addressed cache on this together with the benchmark's
     /// canonical text, the target fingerprint, and the seed.
     ///
-    /// Two fields are deliberately excluded:
-    ///
-    /// * `seed` — it is its own key component (the service hashes it
-    ///   separately, and callers reason about "same request, different seed"
-    ///   directly);
-    /// * `truth_engine` — the uniform and adaptive engines are bit-identical
-    ///   by construction (gated by `search_throughput` and tests/search.rs),
-    ///   so folding the engine choice in would only split the cache without
-    ///   ever changing a result.
+    /// `seed` is deliberately excluded: it is its own key component (the
+    /// service hashes it separately, and callers reason about "same request,
+    /// different seed" directly).
     ///
     /// The saturation *wall-clock* limits are included: a shorter time cap
     /// can genuinely cut a search differently, so two configs that differ
@@ -431,17 +419,11 @@ mod tests {
         let base = Config::default();
         assert_eq!(base.fingerprint(), Config::default().fingerprint());
         assert_ne!(base.fingerprint(), Config::fast().fingerprint());
-        // Seed and truth engine do not change results for a fixed key, so
-        // they are keyed separately / excluded (see the method docs).
+        // The seed is keyed separately (see the method docs).
         assert_eq!(
             base.fingerprint(),
             Config::default().with_seed(999).fingerprint()
         );
-        let adaptive_off = Config {
-            truth_engine: crate::sample::TruthEngine::Uniform,
-            ..Config::default()
-        };
-        assert_eq!(base.fingerprint(), adaptive_off.fingerprint());
         let mut fewer_iters = Config::default();
         fewer_iters.improve.iterations -= 1;
         assert_ne!(base.fingerprint(), fewer_iters.fingerprint());

@@ -206,8 +206,7 @@ pub fn improve_with(
 
     let evaluate = |expr: &FloatExpr| -> Candidate {
         let cost = program_cost(target, expr);
-        let (error_bits, _) =
-            accuracy::evaluate_on_train_with(target, expr, samples, ctx.options());
+        let (error_bits, _) = accuracy::evaluate_on_train(target, expr, samples);
         ctx.note_scored(1);
         Candidate {
             expr: expr.clone(),

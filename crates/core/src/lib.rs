@@ -83,7 +83,7 @@ pub use compiler::{
 pub use isel::{InstructionSelector, IselConfig, IselResult};
 pub use lower::{lower_fpcore, DirectLowering, LowerError};
 pub use pareto::ParetoFrontier;
-pub use sample::{GroundTruthCache, SampleError, SampleSet, Sampler, TruthEngine, TruthStats};
+pub use sample::{GroundTruthCache, SampleError, SampleSet, Sampler, TruthStats};
 pub use session::{
     Budget, CancelToken, Phase, Prepared, Progress, ProgressFn, SearchControl, SearchCtx,
     SearchStats, Session,

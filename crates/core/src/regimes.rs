@@ -17,30 +17,10 @@ use crate::pareto::ParetoFrontier;
 use crate::sample::SampleSet;
 use crate::session::{Phase, Progress, SearchCtx};
 use fpcore::RealOp;
-use targets::{program_cost, CompileOptions, FloatExpr, Target};
+use targets::{program_cost, FloatExpr, Target};
 
 /// Minimum improvement (mean bits of error) required to keep a branch.
 const MIN_IMPROVEMENT_BITS: f64 = 0.5;
-
-/// Per-point training errors of one candidate, computed on the block engine
-/// (one bytecode compilation per candidate, one instruction dispatch per
-/// block of points).
-fn per_point_errors(
-    target: &Target,
-    expr: &FloatExpr,
-    samples: &SampleSet,
-    options: &CompileOptions,
-) -> Vec<f64> {
-    crate::accuracy::per_point_errors_with(
-        target,
-        expr,
-        &samples.vars,
-        &samples.train,
-        &samples.train_truth,
-        samples.output_type,
-        options,
-    )
-}
 
 /// Candidate split thresholds for a variable: quantiles of its training values
 /// plus a few universal anchors.
@@ -103,10 +83,17 @@ pub fn infer_regimes_with(
         });
         return None;
     }
-    // Cache per-point errors for every candidate (the expensive part), one
-    // candidate per worker.
+    // Cache per-point training errors for every candidate (the expensive
+    // part), one candidate per worker, each on the block engine.
     let errors: Vec<Vec<f64>> = par::par_map(&candidates, |c| {
-        per_point_errors(target, &c.expr, samples, ctx.options())
+        crate::accuracy::per_point_errors(
+            target,
+            &c.expr,
+            &samples.vars,
+            &samples.train,
+            &samples.train_truth,
+            samples.output_type,
+        )
     });
     let baseline = frontier.most_accurate()?;
     let baseline_error = baseline.1;

@@ -11,14 +11,12 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 use crate::par;
 use crate::rng::Rng;
-use fpcore::{FPCore, FpType, Symbol};
-use rival::adaptive::{ExactRow, NodeIndex};
-use rival::{balance_if_deep, Evaluator, GroundTruth};
+use fpcore::{Constant, Expr, FPCore, FpType, RealOp, Symbol};
+use rival::{Evaluator, GroundTruth};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use targets::analysis::domains_from_pre;
 use targets::Columns;
 
 /// A set of sampled points with their ground-truth results.
@@ -119,6 +117,78 @@ enum Attempt {
     Invalid,
     /// The precision ladder topped out without deciding the rounding.
     NonConverged,
+}
+
+/// Extracts per-variable domains from an FPCore precondition — a conjunction
+/// of binary comparisons between a variable and a constant, the shape the
+/// benchmark corpus uses — as `[(symbol, (lo, hi))]`. Anything else is
+/// ignored (the variable keeps no domain), which is always sound.
+/// Contradictory bounds are dropped: a domain that never samples supports no
+/// claim.
+///
+/// Each range is a closed superset of the variable's `f64` values that
+/// satisfy the precondition: no `f64` lies between a literal and the bound
+/// it becomes, so an `f64` outside the range falsifies one top-level
+/// conjunct over the reals. The sampler relies on this to reject such points
+/// without asking Rival.
+fn domains_from_pre(pre: Option<&Expr>) -> Vec<(Symbol, (f64, f64))> {
+    let mut bounds: Vec<(Symbol, (f64, f64))> = Vec::new();
+    fn tighten(bounds: &mut Vec<(Symbol, (f64, f64))>, var: Symbol, lo: f64, hi: f64) {
+        match bounds.iter_mut().find(|(s, _)| *s == var) {
+            Some((_, range)) => {
+                range.0 = range.0.max(lo);
+                range.1 = range.1.min(hi);
+            }
+            None => bounds.push((var, (lo, hi))),
+        }
+    }
+    /// A lower and an upper bound for a literal, with no `f64` strictly
+    /// between either and the literal. A correctly rounded conversion serves
+    /// as both: `PI`, `E`, and a rational whose parts are at most 2^53. A
+    /// larger part makes `to_f64` round three times, each within 2^-53
+    /// relative, about 3 ulps in all; every ulp step is at least 2^-53
+    /// relative, so 4 steps outward are past the literal.
+    fn bracket(c: &Constant) -> (f64, f64) {
+        let x = c.to_f64();
+        match c {
+            Constant::Rational(r)
+                if r.numerator().unsigned_abs() > 1 << 53 || r.denominator() > 1 << 53 =>
+            {
+                let (mut lo, mut hi) = (x, x);
+                for _ in 0..4 {
+                    (lo, hi) = (lo.next_down(), hi.next_up());
+                }
+                (lo, hi)
+            }
+            _ => (x, x),
+        }
+    }
+    fn walk(bounds: &mut Vec<(Symbol, (f64, f64))>, expr: &Expr) {
+        match expr {
+            Expr::Op(RealOp::And, args) => args.iter().for_each(|a| walk(bounds, a)),
+            Expr::Op(op, args) if args.len() == 2 => {
+                let inf = f64::INFINITY;
+                // A closed superset interval is sound for strict comparisons.
+                match (op, &args[0], &args[1]) {
+                    (RealOp::Lt | RealOp::Le, Expr::Var(v), Expr::Num(c))
+                    | (RealOp::Gt | RealOp::Ge, Expr::Num(c), Expr::Var(v)) => {
+                        tighten(bounds, *v, -inf, bracket(c).1);
+                    }
+                    (RealOp::Gt | RealOp::Ge, Expr::Var(v), Expr::Num(c))
+                    | (RealOp::Lt | RealOp::Le, Expr::Num(c), Expr::Var(v)) => {
+                        tighten(bounds, *v, bracket(c).0, inf);
+                    }
+                    _ => {}
+                }
+            }
+            _ => {}
+        }
+    }
+    if let Some(pre) = pre {
+        walk(&mut bounds, pre);
+    }
+    bounds.retain(|(_, (lo, hi))| lo <= hi);
+    bounds
 }
 
 /// One closed range per argument of `core`, from the top-level conjuncts of
@@ -238,7 +308,8 @@ impl Sampler {
     /// request is filled, which keeps the result independent of thread count.
     ///
     /// Before Rival decides the precondition, an attempt with a variable
-    /// outside its closed range from [`domains_from_pre`] is rejected with
+    /// outside its closed range from the `:pre`'s top-level comparisons is
+    /// rejected with
     /// `f64` comparisons. This never changes the outcome: the range
     /// bounds are literals rounded outward, so such a point falsifies a
     /// top-level conjunct of the `:pre` over the reals, and Rival could never
@@ -371,7 +442,7 @@ impl Sampler {
     /// by the local-error heuristic for subexpressions).
     pub fn ground_truths(
         &self,
-        expr: &fpcore::Expr,
+        expr: &Expr,
         vars: &[Symbol],
         points: &Columns,
         ty: FpType,
@@ -387,56 +458,23 @@ impl Sampler {
     }
 }
 
-/// Which ground-truth evaluation engine a [`GroundTruthCache`] uses on a
-/// cache miss. Both produce bit-identical [`GroundTruth`]s; they differ only
-/// in how much work they do to get there.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub enum TruthEngine {
-    /// Re-evaluate the whole expression at every rung of the precision
-    /// ladder (the classic Rival loop). Kept as the reference engine.
-    Uniform,
-    /// Reval-style mixed precision: per-node convergence tracking, so only
-    /// nodes that have not converged are re-evaluated at higher rungs;
-    /// converged subexpression values are reused across candidates,
-    /// iterations, and targets; deep associative chains are rebalanced
-    /// before evaluation (with fallback to the original tree whenever the
-    /// balanced evaluation does not produce a definite value).
-    #[default]
-    Adaptive,
-}
-
-/// Work counters for a [`GroundTruthCache`] — the observable effect of the
-/// memo, the adaptive engine, and DAG balancing.
+/// Work counters for a [`GroundTruthCache`]: the observable effect of the
+/// memo.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct TruthStats {
     /// Requests answered from the memo.
     pub hits: usize,
     /// Requests that ran a Rival sweep.
     pub misses: usize,
-    /// Interval node evaluations performed by the adaptive engine.
+    /// Interval node evaluations performed by the sweeps, summed over the
+    /// precision rungs each point tried.
     pub node_evals: u64,
-    /// Node evaluations skipped because the node had converged at a lower
-    /// rung of the same point evaluation.
-    pub node_reuses: u64,
-    /// Node evaluations skipped because a value converged during an earlier
-    /// candidate/iteration/target applied (the cross-expression store).
-    pub node_seeds: u64,
-    /// Expressions evaluated through a depth-balanced tree.
-    pub balanced: usize,
-    /// Balanced point evaluations that fell back to the original tree.
-    pub fallbacks: usize,
     /// Wall-clock spent inside Rival sweeps (summed across concurrent
     /// sweeps, so this can exceed elapsed time on multi-core).
     pub eval_time: Duration,
 }
 
 impl TruthStats {
-    /// Node evaluations avoided by convergence tracking and the
-    /// cross-expression store.
-    pub fn evals_saved(&self) -> u64 {
-        self.node_reuses + self.node_seeds
-    }
-
     /// The counters accumulated since an earlier snapshot of the same cache.
     #[must_use]
     pub fn since(&self, earlier: &TruthStats) -> TruthStats {
@@ -444,10 +482,6 @@ impl TruthStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
             node_evals: self.node_evals - earlier.node_evals,
-            node_reuses: self.node_reuses - earlier.node_reuses,
-            node_seeds: self.node_seeds - earlier.node_seeds,
-            balanced: self.balanced - earlier.balanced,
-            fallbacks: self.fallbacks - earlier.fallbacks,
             eval_time: self.eval_time.saturating_sub(earlier.eval_time),
         }
     }
@@ -460,10 +494,6 @@ impl TruthStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
             node_evals: self.node_evals + other.node_evals,
-            node_reuses: self.node_reuses + other.node_reuses,
-            node_seeds: self.node_seeds + other.node_seeds,
-            balanced: self.balanced + other.balanced,
-            fallbacks: self.fallbacks + other.fallbacks,
             eval_time: self.eval_time + other.eval_time,
         }
     }
@@ -482,14 +512,8 @@ impl TruthStats {
 ///
 /// The cache owns its point columns: it can only ever be asked about the
 /// point set it was built for, so a memoized answer is always the answer the
-/// uncached evaluation would have produced — bit for bit.
-///
-/// With the default [`TruthEngine::Adaptive`] engine, a miss additionally
-/// consults (and feeds) a store of *converged subexpression values*: a node
-/// whose enclosure collapsed to an exact point during any earlier sweep is
-/// never re-derived, even inside a different candidate expression. The reuse
-/// rule is restricted to cases where the substitution is provably
-/// bit-identical to uniform evaluation (see [`rival::adaptive`]).
+/// uncached evaluation would have produced — bit for bit. A miss runs Rival's
+/// uniform precision ladder on the whole expression at every point.
 #[derive(Clone)]
 pub struct GroundTruthCache {
     inner: Arc<GroundTruthCacheInner>,
@@ -501,65 +525,33 @@ type TruthCell = Arc<std::sync::OnceLock<Arc<Vec<GroundTruth>>>>;
 
 /// Memo table, keyed by expression first so the (overwhelmingly common) hit
 /// path looks up with a borrowed `&Expr` — no AST clone per request.
-type TruthMemo = HashMap<fpcore::Expr, HashMap<FpType, TruthCell>>;
-
-/// Minimum tree depth before a cache miss evaluates a balanced clone of the
-/// expression instead of the original (shallow trees gain nothing, and the
-/// threshold keeps the rewrite off the typical corpus expression).
-const BALANCE_MIN_DEPTH: usize = 9;
+type TruthMemo = HashMap<Expr, HashMap<FpType, TruthCell>>;
 
 struct GroundTruthCacheInner {
     /// Same precision ladder the uncached local-error path used, so cached
     /// results (including which points are `Unsamplable`) are bit-identical.
     evaluator: Evaluator,
-    engine: TruthEngine,
     vars: Vec<Symbol>,
     points: Columns,
     memo: Mutex<TruthMemo>,
-    /// Converged subexpression values, keyed by subtree: for each cached
-    /// point, the first ladder precision at which the node collapsed to an
-    /// exact value, and that value. Shared across candidate expressions.
-    exact: Mutex<HashMap<fpcore::Expr, ExactRow>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     node_evals: AtomicU64,
-    node_reuses: AtomicU64,
-    node_seeds: AtomicU64,
-    balanced: AtomicUsize,
-    fallbacks: AtomicUsize,
     eval_nanos: AtomicU64,
 }
 
 impl GroundTruthCache {
-    /// A cache over an explicit point set, using the default
-    /// ([`TruthEngine::Adaptive`]) engine.
+    /// A cache over an explicit point set.
     pub fn new(vars: Vec<Symbol>, points: Columns) -> GroundTruthCache {
-        GroundTruthCache::with_engine(vars, points, TruthEngine::default())
-    }
-
-    /// A cache over an explicit point set with an explicit evaluation engine
-    /// (the uniform engine is kept for reference measurements and
-    /// differential testing).
-    pub fn with_engine(
-        vars: Vec<Symbol>,
-        points: Columns,
-        engine: TruthEngine,
-    ) -> GroundTruthCache {
         GroundTruthCache {
             inner: Arc::new(GroundTruthCacheInner {
                 evaluator: Evaluator::with_precisions(vec![96, 192, 384]),
-                engine,
                 vars,
                 points,
                 memo: Mutex::new(HashMap::new()),
-                exact: Mutex::new(HashMap::new()),
                 hits: AtomicUsize::new(0),
                 misses: AtomicUsize::new(0),
                 node_evals: AtomicU64::new(0),
-                node_reuses: AtomicU64::new(0),
-                node_seeds: AtomicU64::new(0),
-                balanced: AtomicUsize::new(0),
-                fallbacks: AtomicUsize::new(0),
                 eval_nanos: AtomicU64::new(0),
             }),
         }
@@ -568,12 +560,7 @@ impl GroundTruthCache {
     /// A cache over the training points of a sample set (what the improve
     /// loop's heuristics evaluate on).
     pub fn for_training(samples: &SampleSet) -> GroundTruthCache {
-        GroundTruthCache::for_training_with(samples, TruthEngine::default())
-    }
-
-    /// Like [`GroundTruthCache::for_training`] with an explicit engine.
-    pub fn for_training_with(samples: &SampleSet, engine: TruthEngine) -> GroundTruthCache {
-        GroundTruthCache::with_engine(samples.vars.clone(), samples.train.clone(), engine)
+        GroundTruthCache::new(samples.vars.clone(), samples.train.clone())
     }
 
     /// The point columns this cache answers for.
@@ -581,16 +568,11 @@ impl GroundTruthCache {
         &self.inner.points
     }
 
-    /// The engine used on cache misses.
-    pub fn engine(&self) -> TruthEngine {
-        self.inner.engine
-    }
-
     /// Ground truth of `expr` in representation `ty` at every cached point, in
     /// point order. Computed (in parallel) on the first request for this
     /// `(expr, ty)`; shared on every later one. A request that races the first
     /// computation blocks until it is ready rather than repeating the sweep.
-    pub fn ground_truths(&self, expr: &fpcore::Expr, ty: FpType) -> Arc<Vec<GroundTruth>> {
+    pub fn ground_truths(&self, expr: &Expr, ty: FpType) -> Arc<Vec<GroundTruth>> {
         // Reserve (or find) the slot under the lock — cloning the expression
         // only when inserting a brand-new key — then compute outside it so
         // distinct expressions evaluate concurrently.
@@ -614,19 +596,9 @@ impl GroundTruthCache {
             }
         };
         let mut computed = false;
-        let inner = &*self.inner;
         let truths = cell.get_or_init(|| {
             computed = true;
-            let start = std::time::Instant::now();
-            let result = match inner.engine {
-                TruthEngine::Uniform => self.sweep_uniform(expr, ty),
-                TruthEngine::Adaptive => self.sweep_adaptive(expr, ty),
-            };
-            #[allow(clippy::cast_possible_truncation)]
-            inner
-                .eval_nanos
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            Arc::new(result)
+            Arc::new(self.sweep(expr, ty))
         });
         if computed {
             self.inner.misses.fetch_add(1, Ordering::Relaxed);
@@ -636,104 +608,26 @@ impl GroundTruthCache {
         Arc::clone(truths)
     }
 
-    /// The classic whole-expression precision-escalation sweep.
-    fn sweep_uniform(&self, expr: &fpcore::Expr, ty: FpType) -> Vec<GroundTruth> {
+    /// The precision-escalation sweep of `expr` over every cached point.
+    fn sweep(&self, expr: &Expr, ty: FpType) -> Vec<GroundTruth> {
         let inner = &*self.inner;
-        par::par_map_range(inner.points.len(), |i| {
-            inner.evaluator.eval(expr, &self.env_at(i), ty)
-        })
-    }
-
-    /// The mixed-precision sweep: per-node convergence tracking, seeded from
-    /// (and harvesting into) the cross-expression store of converged
-    /// subexpression values, over a depth-balanced tree when the expression
-    /// is deep enough to profit.
-    ///
-    /// Bit identity with [`GroundTruthCache::sweep_uniform`]: node reuse and
-    /// seeding are restricted to provably precision-independent values (see
-    /// [`rival::adaptive`]), and a balanced evaluation is only trusted when
-    /// it produces a definite [`GroundTruth::Value`] — `Nan`/`Unsamplable`
-    /// classifications always come from the original tree.
-    fn sweep_adaptive(&self, expr: &fpcore::Expr, ty: FpType) -> Vec<GroundTruth> {
-        let inner = &*self.inner;
-        let balanced = balance_if_deep(expr, BALANCE_MIN_DEPTH);
-        if balanced.is_some() {
-            inner.balanced.fetch_add(1, Ordering::Relaxed);
-        }
-        let eval_expr = balanced.as_ref().unwrap_or(expr);
-        let index = NodeIndex::build(eval_expr);
-        // Snapshot the store rows for every non-trivial node up front; the
-        // sweep must not hold the lock. Rows are indexed by node id.
-        let seeds: Vec<Option<ExactRow>> = {
-            // Stored rows are only ever written with already-verified exact
-            // values, so recovering from a poisoned lock is sound.
-            let store = self
-                .inner
-                .exact
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            (0..index.len())
-                .map(|id| match index.node(id) {
-                    fpcore::Expr::Num(_) | fpcore::Expr::Var(_) => None,
-                    node => store.get(node).cloned(),
-                })
-                .collect()
-        };
+        let start = std::time::Instant::now();
         let outcomes = par::par_map_range(inner.points.len(), |i| {
-            let env = self.env_at(i);
-            let outcome = inner.evaluator.eval_adaptive(&index, &env, ty, &seeds, i);
-            // A balanced tree converging to a value is the same correctly
-            // rounded value the original converges to (the rewrite is
-            // real-equivalent); anything else is decided by the original.
-            let fell_back = balanced.is_some() && !matches!(outcome.truth, GroundTruth::Value(_));
-            let truth = if fell_back {
-                inner.evaluator.eval(expr, &env, ty)
-            } else {
-                outcome.truth
-            };
-            (truth, outcome.exact, outcome.stats, fell_back)
+            let env: Vec<(Symbol, f64)> = inner
+                .vars
+                .iter()
+                .enumerate()
+                .map(|(v, sym)| (*sym, inner.points.value(i, v)))
+                .collect();
+            inner.evaluator.eval_counted(expr, &env, ty)
         });
-        let mut truths = Vec::with_capacity(outcomes.len());
-        let mut store = self
-            .inner
-            .exact
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for (i, (truth, exact, stats, fell_back)) in outcomes.into_iter().enumerate() {
-            truths.push(truth);
-            inner
-                .node_evals
-                .fetch_add(stats.node_evals, Ordering::Relaxed);
-            inner
-                .node_reuses
-                .fetch_add(stats.node_reuses, Ordering::Relaxed);
-            inner
-                .node_seeds
-                .fetch_add(stats.node_seeds, Ordering::Relaxed);
-            if fell_back {
-                inner.fallbacks.fetch_add(1, Ordering::Relaxed);
-            }
-            for (id, prec, value) in exact {
-                let row = store
-                    .entry(index.node(id).clone())
-                    .or_insert_with(|| vec![None; inner.points.len()]);
-                // Keep the earliest-converging entry (usable at more rungs);
-                // the values are necessarily equal.
-                if row[i].as_ref().is_none_or(|(p, _)| *p > prec) {
-                    row[i] = Some((prec, value));
-                }
-            }
-        }
-        truths
-    }
-
-    fn env_at(&self, i: usize) -> Vec<(Symbol, f64)> {
-        self.inner
-            .vars
-            .iter()
-            .enumerate()
-            .map(|(v, sym)| (*sym, self.inner.points.value(i, v)))
-            .collect()
+        let evals = outcomes.iter().map(|&(_, evals)| evals).sum();
+        inner.node_evals.fetch_add(evals, Ordering::Relaxed);
+        #[allow(clippy::cast_possible_truncation)]
+        inner
+            .eval_nanos
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        outcomes.into_iter().map(|(truth, _)| truth).collect()
     }
 
     /// `(hits, misses)` so far — misses are actual Rival evaluations.
@@ -744,18 +638,14 @@ impl GroundTruthCache {
         )
     }
 
-    /// Full work counters, including the adaptive engine's node-level
-    /// savings and total in-sweep wall-clock.
+    /// Full work counters, including interval node evaluations and total
+    /// in-sweep wall-clock.
     pub fn truth_stats(&self) -> TruthStats {
         let inner = &*self.inner;
         TruthStats {
             hits: inner.hits.load(Ordering::Relaxed),
             misses: inner.misses.load(Ordering::Relaxed),
             node_evals: inner.node_evals.load(Ordering::Relaxed),
-            node_reuses: inner.node_reuses.load(Ordering::Relaxed),
-            node_seeds: inner.node_seeds.load(Ordering::Relaxed),
-            balanced: inner.balanced.load(Ordering::Relaxed),
-            fallbacks: inner.fallbacks.load(Ordering::Relaxed),
             eval_time: Duration::from_nanos(inner.eval_nanos.load(Ordering::Relaxed)),
         }
     }
@@ -789,13 +679,19 @@ mod tests {
         let again = cache.ground_truths(&expr, FpType::Binary64);
         assert!(Arc::ptr_eq(&first, &again), "second request must be a hit");
         assert_eq!(cache.stats(), (1, 1));
-        // The cached values match an independent evaluator with the same
-        // precision ladder.
+        // The cached values, and the work counted for them, match an
+        // independent evaluator with the same precision ladder.
         let evaluator = Evaluator::with_precisions(vec![96, 192, 384]);
+        let mut evals = 0;
         for (i, truth) in first.iter().enumerate() {
             let env = vec![(Symbol::new("x"), samples.train.value(i, 0))];
-            assert_eq!(*truth, evaluator.eval(&expr, &env, FpType::Binary64));
+            let (direct, n) = evaluator.eval_counted(&expr, &env, FpType::Binary64);
+            assert_eq!(*truth, direct);
+            evals += n;
         }
+        // Every point evaluates the expression's four nodes at least once.
+        assert!(evals >= 4 * samples.train.len() as u64);
+        assert_eq!(cache.truth_stats().node_evals, evals);
         // A different output type is a distinct entry.
         let narrow = cache.ground_truths(&expr, FpType::Binary32);
         assert_eq!(narrow.len(), samples.train.len());
@@ -803,71 +699,11 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_engine_matches_uniform_engine_bit_for_bit() {
-        let core = parse_fpcore(
-            "(FPCore (x y) :pre (and (> x 1) (< x 1e6) (> y 0) (< y 1)) \
-             (- (sqrt (+ x 1)) (sqrt x)))",
-        )
-        .unwrap();
-        let samples = Sampler::new(33).sample(&core, 24, 4).unwrap();
-        let uniform = GroundTruthCache::for_training_with(&samples, TruthEngine::Uniform);
-        let adaptive = GroundTruthCache::for_training_with(&samples, TruthEngine::Adaptive);
-        for src in [
-            "(- (sqrt (+ x 1)) (sqrt x))",
-            "(/ 1 (+ (sqrt (+ x 1)) (sqrt x)))",
-            "(* y (- (sqrt (+ x 1)) (sqrt x)))",
-            "(+ (+ (+ (+ x y) (* x y)) (/ x y)) (- x y))",
-            "(exp (- (log x) (log (+ x 1))))",
-            "(if (< x y) (/ x y) (/ y x))",
-        ] {
-            let expr = fpcore::parse_expr(src).unwrap();
-            assert_eq!(
-                *uniform.ground_truths(&expr, FpType::Binary64),
-                *adaptive.ground_truths(&expr, FpType::Binary64),
-                "engines disagree on {src}"
-            );
-        }
-        let stats = adaptive.truth_stats();
-        assert!(
-            stats.evals_saved() > 0,
-            "the adaptive engine should have reused work: {stats:?}"
-        );
-        assert!(
-            stats.node_seeds > 0,
-            "shared subtrees across candidates should have seeded: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn deep_chains_balance_and_still_match_uniform() {
-        let core = parse_fpcore("(FPCore (x) :pre (and (> x 0.1) (< x 10)) (+ x 1))").unwrap();
-        let samples = Sampler::new(5).sample(&core, 12, 2).unwrap();
-        let uniform = GroundTruthCache::for_training_with(&samples, TruthEngine::Uniform);
-        let adaptive = GroundTruthCache::for_training_with(&samples, TruthEngine::Adaptive);
-        // A 12-term alternating chain: depth 13 triggers the balancer.
-        let mut src = "x".to_string();
-        for i in 0..12 {
-            src = if i % 2 == 0 {
-                format!("(+ {src} (* x x))")
-            } else {
-                format!("(- {src} (/ x 3))")
-            };
-        }
-        let expr = fpcore::parse_expr(&src).unwrap();
-        assert_eq!(
-            *uniform.ground_truths(&expr, FpType::Binary64),
-            *adaptive.ground_truths(&expr, FpType::Binary64)
-        );
-        let stats = adaptive.truth_stats();
-        assert_eq!(stats.balanced, 1, "the deep chain must have balanced");
-    }
-
-    #[test]
     fn concurrent_cache_requests_return_identical_results() {
         let core = parse_fpcore("(FPCore (x) :pre (and (> x 0) (< x 100)) (sqrt x))").unwrap();
         let samples = Sampler::new(9).sample(&core, 16, 2).unwrap();
         let cache = GroundTruthCache::for_training(&samples);
-        let exprs: Vec<fpcore::Expr> = [
+        let exprs: Vec<Expr> = [
             "(sqrt x)",
             "(/ x (sqrt x))",
             "(exp (* 0.5 (log x)))",
@@ -1135,5 +971,57 @@ mod tests {
             assert_eq!(point[0], point[0] as f32 as f64, "values must be binary32");
         }
         assert_eq!(set.output_type, FpType::Binary32);
+    }
+
+    /// `domains_from_pre` bounds must stay outside their literal even when the
+    /// literal's numerator or denominator exceeds 2^53, where `Rational::to_f64`
+    /// rounds each part before dividing and can land more than an ulp away. The
+    /// sampler rejects points outside these ranges without asking Rival, so an
+    /// `f64` just outside a bound must falsify its clause; Rival is the oracle.
+    #[test]
+    fn domains_from_pre_bounds_exclude_their_literals() {
+        use fpcore::Rational;
+        let evaluator = Evaluator::new();
+        let x = Symbol::new("x");
+        let mut rng = Rng::new(0x5EED_2053);
+        let mut checked = 0;
+        while checked < 300 {
+            // Parts of 40 to 100 bits, at least one of them above 2^53.
+            let mut part = || (u128::from(rng.next_u64()) << (rng.below(61) + 40) >> 64) | 1;
+            let (num, den) = (part(), part());
+            if num.max(den) <= 1 << 53 {
+                continue;
+            }
+            let sign = if rng.below(2) == 0 { 1 } else { -1 };
+            let literal = Expr::Num(Constant::Rational(Rational::new(sign * num as i128, den)));
+            for op in [RealOp::Lt, RealOp::Le, RealOp::Gt, RealOp::Ge] {
+                for var_first in [true, false] {
+                    let args = if var_first {
+                        vec![Expr::Var(x), literal.clone()]
+                    } else {
+                        vec![literal.clone(), Expr::Var(x)]
+                    };
+                    let clause = Expr::Op(op, args);
+                    let domains = domains_from_pre(Some(&clause));
+                    let [(sym, (lo, hi))] = domains[..] else {
+                        panic!("{clause:?} gives one domain, got {domains:?}");
+                    };
+                    assert_eq!(sym, x);
+                    let outside = if lo.is_finite() {
+                        [lo.next_down(), lo.next_down().next_down()]
+                    } else {
+                        [hi.next_up(), hi.next_up().next_up()]
+                    };
+                    for v in outside {
+                        assert_eq!(
+                            evaluator.eval_bool(&clause, &[(x, v)]),
+                            Some(false),
+                            "{v:e} lies outside [{lo:e}, {hi:e}] but satisfies {clause:?}"
+                        );
+                    }
+                }
+            }
+            checked += 1;
+        }
     }
 }

@@ -47,7 +47,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use targets::{program_cost, CompileOptions, FloatExpr, Target};
+use targets::{program_cost, FloatExpr, Target};
 
 /// A shared, cheap cancellation signal for in-flight searches.
 ///
@@ -175,7 +175,7 @@ pub enum Progress {
         programs: usize,
         /// Aggregate register-slab height of the fresh compiles.
         regs: usize,
-        /// Aggregate slab height after dead-code elimination + compaction.
+        /// Aggregate slab height after register compaction.
         regs_compacted: usize,
     },
     /// One `(benchmark × target)` job under [`Session::compile_many`] failed
@@ -207,9 +207,7 @@ pub enum Progress {
 /// through [`Progress::PhaseFinished`]; `saturation` and `candidates_scored`
 /// aggregate the improve loop's inner work across all worker threads (so
 /// under parallelism `saturation` can exceed `improve`); `truths` is the
-/// ground-truth cache's work delta attributable to this call —
-/// [`TruthStats::evals_saved`](crate::TruthStats::evals_saved) on it reports
-/// how many node evaluations the mixed-precision engine avoided.
+/// ground-truth cache's work delta attributable to this call.
 #[derive(Clone, Copy, Default, PartialEq, Debug)]
 pub struct SearchStats {
     /// Wall-clock time of the lowering phase.
@@ -337,7 +335,6 @@ pub type ProgressFn<'a> = dyn Fn(&Progress) + Sync + 'a;
 pub struct SearchControl<'a> {
     progress: Option<&'a ProgressFn<'a>>,
     budget: Budget,
-    options: CompileOptions,
     cancel: Option<&'a CancelToken>,
 }
 
@@ -359,16 +356,6 @@ impl<'a> SearchControl<'a> {
         self
     }
 
-    /// Installs the [`CompileOptions`] used everywhere the search compiles an
-    /// expression to an executable program (candidate scoring, regime error
-    /// sweeps, final evaluation). All options preserve bit identity of
-    /// evaluation results; [`VerifyMode::Never`](targets::VerifyMode) also
-    /// skips the final-implementation verification pass.
-    pub fn with_compile_options(mut self, options: CompileOptions) -> SearchControl<'a> {
-        self.options = options;
-        self
-    }
-
     /// Attaches a cancellation token: the search stops at its next budget cut
     /// point once the token fires and returns the frontier found so far. A
     /// token that never fires changes nothing — results stay bit-identical.
@@ -382,11 +369,6 @@ impl<'a> SearchControl<'a> {
         self.budget
     }
 
-    /// The configured compile options.
-    pub fn compile_options(&self) -> CompileOptions {
-        self.options
-    }
-
     /// The attached cancellation token, if any.
     pub fn cancel_token(&self) -> Option<&'a CancelToken> {
         self.cancel
@@ -398,7 +380,6 @@ impl std::fmt::Debug for SearchControl<'_> {
         f.debug_struct("SearchControl")
             .field("progress", &self.progress.map(|_| "<observer>"))
             .field("budget", &self.budget)
-            .field("options", &self.options)
             .field("cancel", &self.cancel.map(CancelToken::is_cancelled))
             .finish()
     }
@@ -417,7 +398,6 @@ pub struct SearchCtx<'a> {
     cancel: Option<&'a CancelToken>,
     max_iterations: Option<usize>,
     truths: Option<GroundTruthCache>,
-    options: CompileOptions,
     /// Wall-clock nanoseconds spent inside instruction-selection saturation
     /// runs, summed across workers (hence atomic: the improve loop saturates
     /// candidate batches in parallel).
@@ -440,7 +420,6 @@ impl<'a> SearchCtx<'a> {
             cancel: ctl.cancel,
             max_iterations: ctl.budget.max_iterations,
             truths,
-            options: ctl.options,
             saturation_nanos: AtomicU64::new(0),
             candidates_scored: AtomicUsize::new(0),
         }
@@ -454,7 +433,6 @@ impl<'a> SearchCtx<'a> {
             cancel: None,
             max_iterations: None,
             truths: None,
-            options: CompileOptions::default(),
             saturation_nanos: AtomicU64::new(0),
             candidates_scored: AtomicUsize::new(0),
         }
@@ -489,11 +467,6 @@ impl<'a> SearchCtx<'a> {
     /// The session-shared Rival ground-truth cache, if compiling under one.
     pub fn truths(&self) -> Option<&GroundTruthCache> {
         self.truths.as_ref()
-    }
-
-    /// The [`CompileOptions`] every search-internal compilation should use.
-    pub fn options(&self) -> &CompileOptions {
-        &self.options
     }
 
     /// Records wall-clock time spent in one instruction-selection saturation
@@ -667,7 +640,6 @@ impl Prepared {
             phase: Phase::FinalEvaluation,
         });
         let phase_started = Instant::now();
-        let options = *ctx.options();
         let initial_cost = program_cost(target, &initial);
         // The final-evaluation cut point: a search cancelled by this boundary
         // collapses the frontier to the initial program so only one scoring
@@ -684,50 +656,46 @@ impl Prepared {
                 .collect()
         };
         let implementations: Vec<Implementation> = par::par_map(&finals, |(cost, expr)| {
-            describe(target, expr.clone(), *cost, &inner.samples, &options)
+            describe(target, expr.clone(), *cost, &inner.samples)
         });
-        let initial_impl = describe(target, initial, initial_cost, &inner.samples, &options);
+        let initial_impl = describe(target, initial, initial_cost, &inner.samples);
 
         // Verify every program this result hands out (the debug hook inside
         // `targets::compile` covers debug builds; this covers release too,
         // once per final implementation rather than per search candidate).
-        // `VerifyMode::Never` opts out; the default and `Always` both verify
-        // here because these are the programs callers ship.
-        if options.verify != targets::VerifyMode::Never {
-            let all: Vec<&Implementation> = implementations
-                .iter()
-                .chain(std::iter::once(&initial_impl))
-                .collect();
-            let slabs: Vec<Result<(usize, usize), CompileError>> = par::par_map(&all, |imp| {
-                let program = targets::compile(target, &imp.expr);
-                let violations = targets::analysis::verify_with_target(
-                    &program,
-                    target,
-                    targets::analysis::Mode::Ssa,
-                );
-                // A verifier violation is a compiler bug, not a property of
-                // the input: report it as an internal error on this job so
-                // the rest of a corpus run survives it.
-                if !violations.is_empty() {
-                    return Err(CompileError::Internal(JobPanic::new(format!(
-                        "compiled implementation failed IR verification on target {}:\n{}",
-                        target.name,
-                        targets::analysis::verify::render(&violations)
-                    ))));
-                }
-                let (_, stats) = targets::optimize(&program);
-                Ok((stats.regs_before, stats.regs_after))
-            });
-            let mut verified = Vec::with_capacity(slabs.len());
-            for slab in slabs {
-                verified.push(slab?);
+        let all: Vec<&Implementation> = implementations
+            .iter()
+            .chain(std::iter::once(&initial_impl))
+            .collect();
+        let slabs: Vec<Result<(usize, usize), CompileError>> = par::par_map(&all, |imp| {
+            let program = targets::compile(target, &imp.expr);
+            let violations = targets::analysis::verify_with_target(
+                &program,
+                target,
+                targets::analysis::Mode::Ssa,
+            );
+            // A verifier violation is a compiler bug, not a property of
+            // the input: report it as an internal error on this job so
+            // the rest of a corpus run survives it.
+            if !violations.is_empty() {
+                return Err(CompileError::Internal(JobPanic::new(format!(
+                    "compiled implementation failed IR verification on target {}:\n{}",
+                    target.name,
+                    targets::analysis::verify::render(&violations)
+                ))));
             }
-            ctx.emit(Progress::ProgramsVerified {
-                programs: verified.len(),
-                regs: verified.iter().map(|(before, _)| before).sum(),
-                regs_compacted: verified.iter().map(|(_, after)| after).sum(),
-            });
+            let (_, stats) = targets::optimize(&program);
+            Ok((stats.regs_before, stats.regs_after))
+        });
+        let mut verified = Vec::with_capacity(slabs.len());
+        for slab in slabs {
+            verified.push(slab?);
         }
+        ctx.emit(Progress::ProgramsVerified {
+            programs: verified.len(),
+            regs: verified.iter().map(|(before, _)| before).sum(),
+            regs_compacted: verified.iter().map(|(_, after)| after).sum(),
+        });
         let final_time = phase_started.elapsed();
         ctx.emit(Progress::PhaseFinished {
             phase: Phase::FinalEvaluation,
@@ -807,15 +775,8 @@ fn initial_program(
 }
 
 /// Scores one output program on the held-out test points.
-fn describe(
-    target: &Target,
-    expr: FloatExpr,
-    cost: f64,
-    samples: &SampleSet,
-    options: &CompileOptions,
-) -> Implementation {
-    let (error_bits, accuracy_bits) =
-        crate::accuracy::evaluate_on_test_with(target, &expr, samples, options);
+fn describe(target: &Target, expr: FloatExpr, cost: f64, samples: &SampleSet) -> Implementation {
+    let (error_bits, accuracy_bits) = crate::accuracy::evaluate_on_test(target, &expr, samples);
     Implementation {
         rendered: expr.render(target),
         expr,
@@ -909,7 +870,7 @@ impl Session {
             self.config.train_points,
             self.config.test_points,
         )?;
-        let truths = GroundTruthCache::for_training_with(&samples, self.config.truth_engine);
+        let truths = GroundTruthCache::for_training(&samples);
         let prepared = Prepared {
             inner: Arc::new(PreparedInner {
                 core: core.clone(),

@@ -74,7 +74,7 @@ impl std::error::Error for TruthError {}
 
 /// Intermediate evaluation failures at a fixed precision.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum EvalError {
+enum EvalError {
     /// Definitely a NaN regardless of precision.
     Domain,
     /// Needs more precision (or is genuinely unbounded).
@@ -122,18 +122,30 @@ impl Evaluator {
 
     /// Computes the correctly rounded value of `expr` at the given point.
     pub fn eval(&self, expr: &Expr, env: &[(Symbol, f64)], ty: FpType) -> GroundTruth {
+        self.eval_counted(expr, env, ty).0
+    }
+
+    /// [`Evaluator::eval`], also returning the work it took: the interval
+    /// node evaluations summed over the precision rungs it tried.
+    pub fn eval_counted(
+        &self,
+        expr: &Expr,
+        env: &[(Symbol, f64)],
+        ty: FpType,
+    ) -> (GroundTruth, u64) {
         // Chaos harness: an armed abort forces the ladder's own
         // non-convergence outcome without running it.
         if fault::point("rival.eval") {
-            return GroundTruth::Unsamplable;
+            return (GroundTruth::Unsamplable, 0);
         }
         let env: HashMap<Symbol, Interval> = env
             .iter()
             .map(|(s, v)| (*s, Interval::point_f64(*v)))
             .collect();
+        let mut evals = 0;
         for &prec in &self.precisions {
-            match eval_interval(expr, &env, prec) {
-                Err(EvalError::Domain) => return GroundTruth::Nan,
+            match eval_interval(expr, &env, prec, &mut evals) {
+                Err(EvalError::Domain) => return (GroundTruth::Nan, evals),
                 Err(EvalError::Unbounded) => continue,
                 Ok(interval) => {
                     if interval.has_nan() {
@@ -143,13 +155,13 @@ impl Evaluator {
                     // Numeric equality (rather than bit equality) so that an
                     // enclosure collapsing to [−0.0, +0.0] counts as decided.
                     if lo == hi {
-                        return GroundTruth::Value(lo);
+                        return (GroundTruth::Value(lo), evals);
                     }
                     // Not yet decided; escalate precision.
                 }
             }
         }
-        GroundTruth::Unsamplable
+        (GroundTruth::Unsamplable, evals)
     }
 
     /// Evaluates a boolean expression (e.g. a precondition) at a point, returning
@@ -160,7 +172,7 @@ impl Evaluator {
             .map(|(s, v)| (*s, Interval::point_f64(*v)))
             .collect();
         for &prec in &self.precisions {
-            match eval_bool_interval(expr, &env, prec) {
+            match eval_bool_interval(expr, &env, prec, &mut 0) {
                 Err(EvalError::Domain) => return Some(false),
                 Err(EvalError::Unbounded) => continue,
                 Ok(b) => {
@@ -179,7 +191,7 @@ impl Evaluator {
     }
 }
 
-pub(crate) fn round_to_type(interval: &Interval, ty: FpType) -> (f64, f64) {
+fn round_to_type(interval: &Interval, ty: FpType) -> (f64, f64) {
     match ty {
         FpType::Binary64 => (
             interval.lo.to_f64(RoundMode::Nearest),
@@ -196,7 +208,7 @@ pub(crate) fn round_to_type(interval: &Interval, ty: FpType) -> (f64, f64) {
     }
 }
 
-pub(crate) fn constant_interval(c: &Constant, prec: u32) -> Result<Interval, EvalError> {
+fn constant_interval(c: &Constant, prec: u32) -> Result<Interval, EvalError> {
     match c {
         Constant::Rational(r) => {
             let lo =
@@ -234,26 +246,30 @@ fn widen_point(v: BigFloat, prec: u32) -> Interval {
     )
 }
 
+/// Evaluates `expr` over intervals at working precision `prec`, adding one to
+/// `evals` per numeric node evaluated.
 fn eval_interval(
     expr: &Expr,
     env: &HashMap<Symbol, Interval>,
     prec: u32,
+    evals: &mut u64,
 ) -> Result<Interval, EvalError> {
+    *evals += 1;
     match expr {
         Expr::Num(c) => constant_interval(c, prec),
         Expr::Var(v) => env.get(v).cloned().ok_or(EvalError::Domain),
         Expr::If(cond, then_branch, else_branch) => {
-            let c = eval_bool_interval(cond, env, prec)?;
+            let c = eval_bool_interval(cond, env, prec, evals)?;
             match c.definite() {
-                Some(true) => eval_interval(then_branch, env, prec),
-                Some(false) => eval_interval(else_branch, env, prec),
+                Some(true) => eval_interval(then_branch, env, prec, evals),
+                Some(false) => eval_interval(else_branch, env, prec, evals),
                 None => Err(EvalError::Unbounded),
             }
         }
         Expr::Op(op, args) => {
             if op.is_predicate() {
                 // A bare predicate in numeric position: treat true as 1, false as 0.
-                let b = eval_bool_interval(expr, env, prec)?;
+                let b = eval_bool_interval(expr, env, prec, evals)?;
                 return match b.definite() {
                     Some(v) => Ok(Interval::point(BigFloat::from_i64(if v { 1 } else { 0 }))),
                     None => Err(EvalError::Unbounded),
@@ -261,18 +277,14 @@ fn eval_interval(
             }
             let vals: Vec<Interval> = args
                 .iter()
-                .map(|a| eval_interval(a, env, prec))
+                .map(|a| eval_interval(a, env, prec, evals))
                 .collect::<Result<_, _>>()?;
             apply_real_op(*op, &vals, prec)
         }
     }
 }
 
-pub(crate) fn apply_real_op(
-    op: RealOp,
-    args: &[Interval],
-    prec: u32,
-) -> Result<Interval, EvalError> {
+fn apply_real_op(op: RealOp, args: &[Interval], prec: u32) -> Result<Interval, EvalError> {
     use RealOp::*;
     let a = &args[0];
     let out = match op {
@@ -335,12 +347,13 @@ fn eval_bool_interval(
     expr: &Expr,
     env: &HashMap<Symbol, Interval>,
     prec: u32,
+    evals: &mut u64,
 ) -> Result<BoolInterval, EvalError> {
     match expr {
         Expr::Num(Constant::Bool(b)) => Ok(BoolInterval::certain(*b)),
         Expr::Op(op, args) if op.is_comparison() => {
-            let lhs = eval_interval(&args[0], env, prec)?;
-            let rhs = eval_interval(&args[1], env, prec)?;
+            let lhs = eval_interval(&args[0], env, prec, evals)?;
+            let rhs = eval_interval(&args[1], env, prec, evals)?;
             Ok(match op {
                 RealOp::Lt => lhs.lt(&rhs),
                 RealOp::Gt => lhs.gt(&rhs),
@@ -351,26 +364,22 @@ fn eval_bool_interval(
                 _ => unreachable!(),
             })
         }
-        Expr::Op(RealOp::And, args) => {
-            Ok(eval_bool_interval(&args[0], env, prec)?
-                .and(&eval_bool_interval(&args[1], env, prec)?))
-        }
-        Expr::Op(RealOp::Or, args) => {
-            Ok(eval_bool_interval(&args[0], env, prec)?
-                .or(&eval_bool_interval(&args[1], env, prec)?))
-        }
-        Expr::Op(RealOp::Not, args) => Ok(eval_bool_interval(&args[0], env, prec)?.not()),
+        Expr::Op(RealOp::And, args) => Ok(eval_bool_interval(&args[0], env, prec, evals)?
+            .and(&eval_bool_interval(&args[1], env, prec, evals)?)),
+        Expr::Op(RealOp::Or, args) => Ok(eval_bool_interval(&args[0], env, prec, evals)?
+            .or(&eval_bool_interval(&args[1], env, prec, evals)?)),
+        Expr::Op(RealOp::Not, args) => Ok(eval_bool_interval(&args[0], env, prec, evals)?.not()),
         Expr::If(cond, t, e) => {
-            let c = eval_bool_interval(cond, env, prec)?;
+            let c = eval_bool_interval(cond, env, prec, evals)?;
             match c.definite() {
-                Some(true) => eval_bool_interval(t, env, prec),
-                Some(false) => eval_bool_interval(e, env, prec),
+                Some(true) => eval_bool_interval(t, env, prec, evals),
+                Some(false) => eval_bool_interval(e, env, prec, evals),
                 None => Ok(BoolInterval::unknown()),
             }
         }
         // Any numeric expression in boolean position: nonzero means true.
         _ => {
-            let v = eval_interval(expr, env, prec)?;
+            let v = eval_interval(expr, env, prec, evals)?;
             Ok(v.eq_interval(&Interval::point_f64(0.0)).not())
         }
     }
@@ -409,6 +418,21 @@ mod tests {
             GroundTruth::Value(v) => v,
             other => panic!("expected a value for {src}, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn node_evaluations_are_counted_per_rung() {
+        let ev = Evaluator::new();
+        let x = [(Symbol::new("x"), 1.0)];
+        let counted = |src: &str| ev.eval_counted(&parse_expr(src).unwrap(), &x, FpType::Binary64);
+        // Three nodes, decided on the first rung.
+        assert_eq!(counted("(+ x 1)"), (GroundTruth::Value(2.0), 3));
+        // An `if` evaluates itself, its condition's operands and the taken
+        // branch.
+        assert_eq!(counted("(if (< x 0) (- x) (* x x))").1, 1 + 2 + 3);
+        // 1 + 1e-30 is not representable in 96 bits, so the difference is
+        // only decided on the second rung: five nodes, twice.
+        assert_eq!(counted("(- (+ x 1e-30) x)").1, 2 * 5);
     }
 
     #[test]

@@ -31,16 +31,12 @@
 //! }
 //! ```
 
-pub mod adaptive;
-pub mod balance;
 pub mod bigfloat;
 pub mod bigint;
 pub mod eval;
 pub mod functions;
 pub mod interval;
 
-pub use adaptive::{AdaptiveStats, ExactRow, NodeIndex, PointOutcome};
-pub use balance::{balance, balance_if_deep, depth};
 pub use bigfloat::{pow2_f64, BigFloat, RoundMode};
 pub use bigint::BigUint;
 pub use eval::{ground_truth, ground_truth_with, Evaluator, GroundTruth, TruthError};

@@ -1,31 +1,26 @@
-//! The dataflow framework: a worklist solver over the linear instruction
-//! stream of a [`Program`].
+//! The dataflow framework: a backward worklist solver over the linear
+//! instruction stream of a [`Program`].
 //!
 //! A compiled program has no jumps — conditionals are selects — so its
 //! control-flow graph is a single straight line with one program point
 //! before every instruction plus one after the last. An [`Analysis`] gives
-//! the boundary fact (at entry for forward analyses, at exit for backward
-//! ones) and a per-instruction transfer function; [`solve`] propagates facts
-//! with a worklist until they stabilize. On a straight-line program the
-//! worklist converges in a single sweep, but the solver does not assume so:
-//! transfer functions only need to be deterministic, and a fact is
-//! re-propagated whenever it changes.
+//! the boundary fact at exit and a per-instruction transfer function;
+//! [`solve`] propagates facts from exit to entry with a worklist until they
+//! stabilize. On a straight-line program the worklist converges in a single
+//! sweep, but the solver does not assume so: transfer functions only need to
+//! be deterministic, and a fact is re-propagated whenever it changes.
 
 use crate::compile::Program;
 use std::collections::VecDeque;
 
-/// A dataflow analysis over the linear program.
+/// A backward dataflow analysis over the linear program.
 pub trait Analysis {
     /// The per-program-point fact.
     type Fact: Clone + PartialEq;
-    /// `true` for backward analyses (facts flow from exit to entry).
-    const BACKWARD: bool;
-    /// The boundary fact: at entry (before instruction 0) for forward
-    /// analyses, at exit (after the last instruction) for backward ones.
+    /// The boundary fact at exit (after the last instruction).
     fn boundary(&self, program: &Program) -> Self::Fact;
-    /// The transfer function for instruction `idx`: maps the fact on the
-    /// input side of the instruction to the fact on its output side
-    /// (before → after when forward, after → before when backward).
+    /// The transfer function for instruction `idx`: maps the fact after the
+    /// instruction to the fact before it.
     fn transfer(&self, program: &Program, idx: usize, input: &Self::Fact) -> Self::Fact;
 }
 
@@ -36,34 +31,17 @@ pub fn solve<A: Analysis>(analysis: &A, program: &Program) -> Vec<A::Fact> {
     let n = program.num_instrs();
     let mut facts: Vec<Option<A::Fact>> = vec![None; n + 1];
     let mut worklist: VecDeque<usize> = VecDeque::new();
-    if A::BACKWARD {
-        facts[n] = Some(analysis.boundary(program));
-        if n > 0 {
-            worklist.push_back(n - 1);
-        }
-        while let Some(i) = worklist.pop_front() {
-            let input = facts[i + 1].clone().expect("successor fact is computed");
-            let out = analysis.transfer(program, i, &input);
-            if facts[i].as_ref() != Some(&out) {
-                facts[i] = Some(out);
-                if i > 0 {
-                    worklist.push_back(i - 1);
-                }
-            }
-        }
-    } else {
-        facts[0] = Some(analysis.boundary(program));
-        if n > 0 {
-            worklist.push_back(0);
-        }
-        while let Some(i) = worklist.pop_front() {
-            let input = facts[i].clone().expect("predecessor fact is computed");
-            let out = analysis.transfer(program, i, &input);
-            if facts[i + 1].as_ref() != Some(&out) {
-                facts[i + 1] = Some(out);
-                if i + 1 < n {
-                    worklist.push_back(i + 1);
-                }
+    facts[n] = Some(analysis.boundary(program));
+    if n > 0 {
+        worklist.push_back(n - 1);
+    }
+    while let Some(i) = worklist.pop_front() {
+        let input = facts[i + 1].clone().expect("successor fact is computed");
+        let out = analysis.transfer(program, i, &input);
+        if facts[i].as_ref() != Some(&out) {
+            facts[i] = Some(out);
+            if i > 0 {
+                worklist.push_back(i - 1);
             }
         }
     }

@@ -30,7 +30,6 @@ struct LivenessAnalysis;
 
 impl Analysis for LivenessAnalysis {
     type Fact = RegSet;
-    const BACKWARD: bool = true;
 
     fn boundary(&self, program: &Program) -> RegSet {
         let mut exit = RegSet::new(program.num_regs());

@@ -1,5 +1,5 @@
 //! Static analysis over compiled [`Program`]s: verification, dataflow, and
-//! bit-identity-preserving rewrites.
+//! a bit-identity-preserving rewrite.
 //!
 //! The whole evaluation pipeline rests on one artifact — the flat
 //! register-machine [`Program`] — executed by three engines that must agree
@@ -8,27 +8,21 @@
 //!
 //! * [`verify`](mod@verify) — a total check of every IR invariant (register
 //!   discipline, bounds, select-arm privacy, sweep/scalar pairing), run
-//!   automatically after every [`crate::compile()`] in debug builds and over the full
-//!   benchmark corpus in CI (`lint_ir`);
-//! * [`dataflow`] — a forward/backward worklist framework over the linear
-//!   SSA program, hosting the analyses below;
+//!   automatically after every [`crate::compile()`] in debug builds, on every
+//!   final implementation a compile hands out, and over the full benchmark
+//!   corpus in CI (`lint_ir`);
+//! * [`dataflow`] — a backward worklist framework over the linear SSA
+//!   program;
 //! * [`liveness`](mod@liveness) — backward live-register analysis and the
 //!   last-use table;
-//! * [`dce`] — dead-code elimination for instructions whose results are
-//!   never used (CSE can strand these), with skip-range remapping;
 //! * [`compact`] — liveness-driven register renumbering that shrinks the
 //!   register slab (the block engine's working set) while preserving the
 //!   `dst > operands` discipline the slab split depends on;
-//! * [`interval`] — forward interval/NaN analysis from sampler domains,
-//!   flagging provably-uniform select conditions and transcendental calls
-//!   that stay on their `vecmath` kernel's special-case-free range
-//!   (advisory: dispatch never changes, so bit identity is untouched);
 //! * [`mutate`] — a seeded invariant-breaking mutation harness that tests
 //!   the *verifier's* power: every mutant must be rejected.
 //!
-//! Every rewrite here is bit-identical by construction: [`dce`] only removes
-//! instructions whose values cannot reach the result, and [`compact`] is a
-//! pure renaming that preserves value flow (see each module's proof sketch).
+//! [`compact`] is a pure renaming that preserves value flow (see its proof
+//! sketch), so the optimized program is bit-identical to the compiled one.
 //! The `tests/analysis.rs` suite asserts this corpus-wide across all three
 //! engines at several block widths.
 //!
@@ -37,197 +31,30 @@
 
 pub mod compact;
 pub mod dataflow;
-pub mod dce;
-pub mod interval;
 pub mod liveness;
 pub mod mutate;
 pub mod verify;
 
 pub use compact::{compact_registers, CompactStats};
-pub use dce::{eliminate_dead_code, DceStats};
-pub use interval::{
-    domains_from_pre, interval_analysis, IntervalAnalysis, SafeCall, UniformSelect, ValueFact,
-};
 pub use liveness::{last_use_table, liveness, Liveness};
 pub use mutate::{seeded_mutants, Mutant, MutationKind};
 pub use verify::{verify, verify_target, verify_with_target, Mode, Violation};
 
 use crate::compile::Program;
-use crate::expr::FloatExpr;
-use crate::target::Target;
 
-/// Size accounting for [`optimize`]: how much dead code and slab height the
-/// dataflow passes removed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct OptimizeStats {
-    /// Instruction count before dead-code elimination.
-    pub instrs_before: usize,
-    /// Instruction count after dead-code elimination.
-    pub instrs_after: usize,
-    /// Register-slab height (total registers) before compaction.
-    pub regs_before: usize,
-    /// Register-slab height after liveness-driven compaction.
-    pub regs_after: usize,
-}
-
-/// The standard optimization pipeline: dead-code elimination followed by
-/// liveness-driven register compaction, with the verifier re-run after each
-/// pass in debug builds.
+/// The optimization pipeline: liveness-driven register compaction, with the
+/// verifier re-run in debug builds.
 ///
 /// The result is bit-identical to the input program on every input
-/// (including NaN) — the rewrites only drop unreachable values and rename
-/// registers — but occupies a smaller register slab, which is the block
-/// engine's per-worker working set.
-pub fn optimize(program: &Program) -> (Program, OptimizeStats) {
-    let (dced, _) = eliminate_dead_code(program);
-    debug_assert!(
-        verify(&dced, Mode::Ssa).is_empty(),
-        "dead-code elimination broke an IR invariant:\n{}",
-        verify::render(&verify(&dced, Mode::Ssa)),
-    );
-    let (compacted, stats) = compact_registers(&dced);
+/// (including NaN) — compaction only renames registers — but occupies a
+/// smaller register slab, which is the block engine's per-worker working
+/// set.
+pub fn optimize(program: &Program) -> (Program, CompactStats) {
+    let (compacted, stats) = compact_registers(program);
     debug_assert!(
         verify(&compacted, Mode::Executable).is_empty(),
         "register compaction broke an IR invariant:\n{}",
         verify::render(&verify(&compacted, Mode::Executable)),
     );
-    (
-        compacted,
-        OptimizeStats {
-            instrs_before: program.num_instrs(),
-            instrs_after: dced.num_instrs(),
-            regs_before: program.num_regs(),
-            regs_after: stats.regs_after,
-        },
-    )
-}
-
-/// How much of the optimization pipeline [`compile_with_options`] runs after
-/// lowering to IR.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub enum OptLevel {
-    /// Lowering only: the raw hash-consed program, no DCE or compaction.
-    None,
-    /// The standard pipeline ([`optimize`]): dead-code elimination plus
-    /// liveness-driven register compaction. Bit-identical to `None` on every
-    /// input; smaller register slab.
-    #[default]
-    Full,
-}
-
-/// When [`compile_with_options`] (and the session layer's final
-/// implementation check) runs the IR verifier.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub enum VerifyMode {
-    /// Debug builds only — the `debug_assert!`s built into [`crate::compile()`]
-    /// and [`optimize`]. Zero release-build overhead; the mode for the hot
-    /// candidate-scoring loop.
-    #[default]
-    Debug,
-    /// Verify in every build: SSA-mode after lowering, executable-mode after
-    /// optimization, panicking on any violation. The mode for final
-    /// (shipped) implementations.
-    Always,
-    /// Skip the explicit checks even where they would otherwise run (the
-    /// `debug_assert!`s inside lowering and optimization are unaffected).
-    Never,
-}
-
-/// Compilation pipeline options, threaded from the public search API
-/// ([`SearchControl`](../chassis/session) in the core crate) down to every
-/// point where an expression becomes an executable [`Program`]. Replaces the
-/// old `compile`/`compile_optimized` pair of near-identical entry points.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct CompileOptions {
-    /// Optimization pipeline to run after lowering.
-    pub opt_level: OptLevel,
-    /// When to run the IR verifier.
-    pub verify: VerifyMode,
-    /// Block width override for batch evaluation (`None` uses
-    /// [`crate::block::block_width_for`]'s policy).
-    pub block_size: Option<usize>,
-}
-
-impl CompileOptions {
-    /// The default options: full optimization, debug-build verification,
-    /// policy block width.
-    pub fn new() -> CompileOptions {
-        CompileOptions::default()
-    }
-
-    /// Sets the optimization level.
-    #[must_use]
-    pub fn opt_level(mut self, level: OptLevel) -> CompileOptions {
-        self.opt_level = level;
-        self
-    }
-
-    /// Sets the verifier mode.
-    #[must_use]
-    pub fn verify(mut self, mode: VerifyMode) -> CompileOptions {
-        self.verify = mode;
-        self
-    }
-
-    /// Overrides the block width used by batch evaluation paths.
-    #[must_use]
-    pub fn block_size(mut self, lanes: usize) -> CompileOptions {
-        self.block_size = Some(lanes.max(1));
-        self
-    }
-
-    /// The block width a sweep over `len` points should use under these
-    /// options.
-    pub fn block_width_for(&self, len: usize) -> usize {
-        match self.block_size {
-            Some(lanes) => lanes.min(len.max(1)),
-            None => crate::block::block_width_for(len),
-        }
-    }
-}
-
-/// Compiles `expr` for `target` under `options` — the one entry point for
-/// every evaluation path that reuses a program across many points.
-///
-/// # Panics
-///
-/// With [`VerifyMode::Always`], panics if the compiled (or optimized)
-/// program violates an IR invariant.
-pub fn compile_with_options(
-    target: &Target,
-    expr: &FloatExpr,
-    options: &CompileOptions,
-) -> (Program, OptimizeStats) {
-    let program = crate::compile::compile(target, expr);
-    if options.verify == VerifyMode::Always {
-        let violations = verify_with_target(&program, target, Mode::Ssa);
-        assert!(
-            violations.is_empty(),
-            "compiled program violates the IR contract:\n{}",
-            verify::render(&violations),
-        );
-    }
-    match options.opt_level {
-        OptLevel::None => {
-            let stats = OptimizeStats {
-                instrs_before: program.num_instrs(),
-                instrs_after: program.num_instrs(),
-                regs_before: program.num_regs(),
-                regs_after: program.num_regs(),
-            };
-            (program, stats)
-        }
-        OptLevel::Full => {
-            let (optimized, stats) = optimize(&program);
-            if options.verify == VerifyMode::Always {
-                let violations = verify_with_target(&optimized, target, Mode::Executable);
-                assert!(
-                    violations.is_empty(),
-                    "optimized program violates the IR contract:\n{}",
-                    verify::render(&violations),
-                );
-            }
-            (optimized, stats)
-        }
-    }
+    (compacted, stats)
 }

@@ -11,7 +11,7 @@
 //!
 //! Two modes cover the IR's two lifecycle stages:
 //!
-//! * [`Mode::Ssa`] — fresh compiles and post-DCE programs: write-once
+//! * [`Mode::Ssa`] — fresh compiles: write-once
 //!   registers, strictly increasing destinations, and the full
 //!   register-level select-arm privacy check (the generalization of the
 //!   compiler's original ad-hoc skip analysis);
@@ -35,7 +35,7 @@ use std::fmt;
 /// Which invariant family to check (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Mode {
-    /// Write-once SSA (fresh compiles, post-DCE programs).
+    /// Write-once SSA (fresh compiles).
     Ssa,
     /// What the engines require, allowing register reuse (post-compaction).
     Executable,

@@ -48,7 +48,7 @@
 //! `Program::num_regs` rows of `width` lanes — the per-worker working set
 //! that liveness-driven register compaction
 //! ([`crate::analysis::compact`]) shrinks, which is why production paths run
-//! [`crate::analysis::compile_with_options`] programs here.
+//! [`crate::analysis::optimize`]d programs here.
 
 use crate::compile::{Instr, Program};
 use crate::operator::round_to_type;

@@ -7,7 +7,6 @@
 //! program over a set of pre-sampled points (used for the cost-model validation
 //! experiment, Figure 10).
 
-use crate::analysis::CompileOptions;
 use crate::block::Columns;
 use crate::expr::FloatExpr;
 use crate::operator::round_to_type;
@@ -104,31 +103,20 @@ pub fn eval_float_expr_in<E: Bindings + ?Sized>(target: &Target, expr: &FloatExp
 /// Evaluates a program over a columnar batch of points without building
 /// per-point environments.
 ///
-/// Compiles the program to bytecode once ([`crate::compile::compile`]) and
-/// sweeps the batch in blocks ([`crate::block`]), reusing one columnar
-/// register file throughout. The results are bit-identical to calling
-/// [`eval_float_expr_indexed`] per point.
+/// Compiles the program to bytecode once ([`crate::compile::compile`]),
+/// optimizes it ([`crate::analysis::optimize`]) and sweeps the batch in
+/// blocks ([`crate::block`]), reusing one columnar register file throughout.
+/// The results are bit-identical to calling [`eval_float_expr_indexed`] per
+/// point.
 pub fn eval_batch(
     target: &Target,
     expr: &FloatExpr,
     vars: &[Symbol],
     points: &Columns,
 ) -> Vec<f64> {
-    eval_batch_with(target, expr, vars, points, &CompileOptions::default())
-}
-
-/// [`eval_batch`] with explicit [`CompileOptions`] (opt level, verifier
-/// mode, block width override).
-pub fn eval_batch_with(
-    target: &Target,
-    expr: &FloatExpr,
-    vars: &[Symbol],
-    points: &Columns,
-    options: &CompileOptions,
-) -> Vec<f64> {
-    let (program, _) = crate::analysis::compile_with_options(target, expr, options);
+    let (program, _) = crate::analysis::optimize(&crate::compile::compile(target, expr));
     let columns = program.bind_columns(vars);
-    let mut regs = program.new_block_regs(options.block_width_for(points.len()));
+    let mut regs = program.new_block_regs(crate::block::block_width_for(points.len()));
     let mut out = vec![0.0; points.len()];
     program.eval_range(&columns, points, 0, &mut regs, &mut out);
     out
@@ -151,10 +139,9 @@ pub fn measure_runtime(
 ) -> Duration {
     // The optimized program is bit-identical by construction and occupies a
     // smaller register slab, so this is what production timing should see.
-    let options = CompileOptions::default();
-    let (program, _) = crate::analysis::compile_with_options(target, expr, &options);
+    let (program, _) = crate::analysis::optimize(&crate::compile::compile(target, expr));
     let columns = program.bind_columns(vars);
-    let mut regs = program.new_block_regs(options.block_width_for(points.len()));
+    let mut regs = program.new_block_regs(crate::block::block_width_for(points.len()));
     let mut out = vec![0.0; points.len()];
     let mut best = Duration::MAX;
     let mut sink = 0.0f64;

@@ -28,9 +28,8 @@
 //!   Python, Julia, NumPy, vdt, fdlibm,
 //! * [`analysis`] — the static-analysis layer over compiled programs: the IR
 //!   verifier (run after every compile in debug builds and corpus-wide in
-//!   CI), a dataflow framework hosting liveness / dead-code elimination /
-//!   register compaction / interval analysis, and the seeded mutation
-//!   harness that tests the verifier itself.
+//!   CI), a dataflow framework hosting liveness and register compaction, and
+//!   the seeded mutation harness that tests the verifier itself.
 
 pub mod analysis;
 pub mod autotune;
@@ -43,17 +42,14 @@ pub mod interp;
 pub mod operator;
 pub mod target;
 
-pub use analysis::{
-    compile_with_options, optimize, CompileOptions, OptLevel, OptimizeStats, VerifyMode,
-};
+pub use analysis::optimize;
 pub use block::{BlockRegs, Columns, DEFAULT_BLOCK};
 pub use compile::{compile, Program};
 pub use costmodel::program_cost;
 pub use expr::FloatExpr;
 pub use fpcore::eval::Bindings;
 pub use interp::{
-    eval_batch, eval_batch_with, eval_float_expr_in, eval_float_expr_indexed, measure_runtime,
-    SliceEnv,
+    eval_batch, eval_float_expr_in, eval_float_expr_indexed, measure_runtime, SliceEnv,
 };
 pub use operator::{Impl, OpId, Operator};
 pub use target::{IfCostStyle, Target};

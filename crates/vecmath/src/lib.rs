@@ -229,31 +229,6 @@ macro_rules! sweep2 {
 }
 pub(crate) use {dispatch_sweep1, sweep1, sweep2};
 
-/// The closed input range on which a kernel's *main* polynomial/table path is
-/// exact-by-contract: inputs inside it never trigger the kernel's
-/// special-case handling (overflow/underflow clamps, subnormal rescaling,
-/// saturation, or the out-of-range libm fallback of the trig kernels).
-///
-/// The bounds are deliberately conservative (well inside the true switch-over
-/// thresholds). They exist for *static analysis*: the `targets::analysis`
-/// interval pass uses them to annotate call sites whose argument range
-/// provably stays on the main path. The annotation is advisory — dispatch is
-/// never changed by it, so bit-identity across engines is unaffected.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct SafeRange {
-    /// Smallest input on the main path.
-    pub lo: f64,
-    /// Largest input on the main path.
-    pub hi: f64,
-}
-
-impl SafeRange {
-    /// True when the closed interval `[lo, hi]` lies inside the safe range.
-    pub fn contains_interval(&self, lo: f64, hi: f64) -> bool {
-        self.lo <= lo && hi <= self.hi
-    }
-}
-
 /// A registered unary kernel: the scalar/sweep pair, the host-libm function
 /// it replaces, and its documented accuracy bound (enforced against Rival by
 /// the ULP property suite).
@@ -268,8 +243,6 @@ pub struct Kernel1 {
     pub reference: fn(f64) -> f64,
     /// Documented maximum error vs. the correctly rounded result, in ULP.
     pub max_ulp: f64,
-    /// Input range on which no special-case path is taken (see [`SafeRange`]).
-    pub safe: SafeRange,
 }
 
 /// A registered binary kernel (see [`Kernel1`]).
@@ -279,38 +252,7 @@ pub struct Kernel2 {
     pub sweep: fn(&mut [f64], &[f64], &[f64]),
     pub reference: fn(f64, f64) -> f64,
     pub max_ulp: f64,
-    /// Special-case-free range of the first argument (see [`SafeRange`]).
-    pub safe_a: SafeRange,
-    /// Special-case-free range of the second argument.
-    pub safe_b: SafeRange,
 }
-
-/// Looks up a unary kernel by the identity of its sweep function (the handle
-/// compiled programs carry), for annotation purposes.
-pub fn kernel1_for_sweep(sweep: fn(&mut [f64], &[f64])) -> Option<&'static Kernel1> {
-    KERNELS1.iter().find(|k| k.sweep as usize == sweep as usize)
-}
-
-/// Looks up a binary kernel by the identity of its sweep function.
-pub fn kernel2_for_sweep(sweep: fn(&mut [f64], &[f64], &[f64])) -> Option<&'static Kernel2> {
-    KERNELS2.iter().find(|k| k.sweep as usize == sweep as usize)
-}
-
-/// Looks up a unary kernel by name (the lowercase `RealOp` spelling).
-pub fn kernel1_by_name(name: &str) -> Option<&'static Kernel1> {
-    KERNELS1.iter().find(|k| k.name == name)
-}
-
-/// Looks up a binary kernel by name.
-pub fn kernel2_by_name(name: &str) -> Option<&'static Kernel2> {
-    KERNELS2.iter().find(|k| k.name == name)
-}
-
-/// Largest magnitude the normal-range `log`-family kernels accept without
-/// subnormal rescaling at the bottom or ±inf handling at the top.
-const MAX_NORMAL: f64 = 1.7e308;
-/// Smallest positive normal double, rounded up a touch (2.2250738585072014e-308).
-const MIN_NORMAL: f64 = 2.3e-308;
 
 /// Every unary kernel, with its documented ULP bound.
 pub const KERNELS1: &[Kernel1] = &[
@@ -320,10 +262,6 @@ pub const KERNELS1: &[Kernel1] = &[
         sweep: exp_sweep,
         reference: f64::exp,
         max_ulp: 2.0,
-        safe: SafeRange {
-            lo: -700.0,
-            hi: 700.0,
-        },
     },
     Kernel1 {
         name: "expm1",
@@ -331,10 +269,6 @@ pub const KERNELS1: &[Kernel1] = &[
         sweep: expm1_sweep,
         reference: f64::exp_m1,
         max_ulp: 4.0,
-        safe: SafeRange {
-            lo: -700.0,
-            hi: 700.0,
-        },
     },
     Kernel1 {
         name: "log",
@@ -342,10 +276,6 @@ pub const KERNELS1: &[Kernel1] = &[
         sweep: log_sweep,
         reference: f64::ln,
         max_ulp: 2.0,
-        safe: SafeRange {
-            lo: MIN_NORMAL,
-            hi: MAX_NORMAL,
-        },
     },
     Kernel1 {
         name: "log1p",
@@ -353,10 +283,6 @@ pub const KERNELS1: &[Kernel1] = &[
         sweep: log1p_sweep,
         reference: f64::ln_1p,
         max_ulp: 3.0,
-        safe: SafeRange {
-            lo: -0.9,
-            hi: MAX_NORMAL,
-        },
     },
     Kernel1 {
         name: "log2",
@@ -364,10 +290,6 @@ pub const KERNELS1: &[Kernel1] = &[
         sweep: log2_sweep,
         reference: f64::log2,
         max_ulp: 2.0,
-        safe: SafeRange {
-            lo: MIN_NORMAL,
-            hi: MAX_NORMAL,
-        },
     },
     Kernel1 {
         name: "log10",
@@ -375,10 +297,6 @@ pub const KERNELS1: &[Kernel1] = &[
         sweep: log10_sweep,
         reference: f64::log10,
         max_ulp: 2.0,
-        safe: SafeRange {
-            lo: MIN_NORMAL,
-            hi: MAX_NORMAL,
-        },
     },
     Kernel1 {
         name: "sin",
@@ -386,10 +304,6 @@ pub const KERNELS1: &[Kernel1] = &[
         sweep: sin_sweep,
         reference: f64::sin,
         max_ulp: 2.5,
-        safe: SafeRange {
-            lo: -0.78,
-            hi: 0.78,
-        },
     },
     Kernel1 {
         name: "cos",
@@ -397,10 +311,6 @@ pub const KERNELS1: &[Kernel1] = &[
         sweep: cos_sweep,
         reference: f64::cos,
         max_ulp: 2.5,
-        safe: SafeRange {
-            lo: -0.78,
-            hi: 0.78,
-        },
     },
     Kernel1 {
         name: "tan",
@@ -408,10 +318,6 @@ pub const KERNELS1: &[Kernel1] = &[
         sweep: tan_sweep,
         reference: f64::tan,
         max_ulp: 4.0,
-        safe: SafeRange {
-            lo: -0.78,
-            hi: 0.78,
-        },
     },
     Kernel1 {
         name: "sinh",
@@ -419,10 +325,6 @@ pub const KERNELS1: &[Kernel1] = &[
         sweep: sinh_sweep,
         reference: f64::sinh,
         max_ulp: 4.0,
-        safe: SafeRange {
-            lo: -700.0,
-            hi: 700.0,
-        },
     },
     Kernel1 {
         name: "cosh",
@@ -430,10 +332,6 @@ pub const KERNELS1: &[Kernel1] = &[
         sweep: cosh_sweep,
         reference: f64::cosh,
         max_ulp: 4.0,
-        safe: SafeRange {
-            lo: -700.0,
-            hi: 700.0,
-        },
     },
     Kernel1 {
         name: "tanh",
@@ -441,10 +339,6 @@ pub const KERNELS1: &[Kernel1] = &[
         sweep: tanh_sweep,
         reference: f64::tanh,
         max_ulp: 3.0,
-        safe: SafeRange {
-            lo: -18.0,
-            hi: 18.0,
-        },
     },
     Kernel1 {
         name: "atan",
@@ -452,10 +346,6 @@ pub const KERNELS1: &[Kernel1] = &[
         sweep: atan_sweep,
         reference: f64::atan,
         max_ulp: 2.0,
-        safe: SafeRange {
-            lo: -MAX_NORMAL,
-            hi: MAX_NORMAL,
-        },
     },
 ];
 
@@ -467,11 +357,6 @@ pub const KERNELS2: &[Kernel2] = &[
         sweep: pow_sweep,
         reference: f64::powf,
         max_ulp: 4.0,
-        safe_a: SafeRange { lo: 0.5, hi: 2.0 },
-        safe_b: SafeRange {
-            lo: -512.0,
-            hi: 512.0,
-        },
     },
     Kernel2 {
         name: "hypot",
@@ -479,14 +364,6 @@ pub const KERNELS2: &[Kernel2] = &[
         sweep: hypot_sweep,
         reference: f64::hypot,
         max_ulp: 3.0,
-        safe_a: SafeRange {
-            lo: -1.0e150,
-            hi: 1.0e150,
-        },
-        safe_b: SafeRange {
-            lo: -1.0e150,
-            hi: 1.0e150,
-        },
     },
 ];
 

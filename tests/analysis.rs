@@ -1,9 +1,8 @@
 //! Corpus-wide property tests for the `targets::analysis` passes.
 //!
-//! The optimizer (dead-code elimination + liveness-driven register
-//! compaction) claims *bit identity*: for every program it may only shrink
-//! the register slab and drop unreachable instructions, never change a
-//! computed value. These tests check that claim over the whole benchmark
+//! The optimizer (liveness-driven register compaction) claims *bit
+//! identity*: for every program it may only shrink the register slab, never
+//! change a computed value. These tests check that claim over the whole benchmark
 //! corpus on every builtin target, across all three engines — tree walk,
 //! scalar bytecode, SoA block execution — at block widths 1, 3, 64, and
 //! whole-batch (widths chosen to cross the skip-range fast path's uniformity
@@ -11,14 +10,11 @@
 //! is unspecified by IEEE 754 and varies with vectorized codegen, so any NaN
 //! matches any NaN (see `tests/bytecode.rs` for the full rationale). They also exercise the verifier's two public jobs end to
 //! end: accepting every corpus program (fresh and optimized) and rejecting
-//! every seeded invariant-breaking mutant, and they pin the interval
-//! analysis's uniform-select annotation on a program where the domain
-//! decides the branch.
+//! every seeded invariant-breaking mutant.
 
 use chassis::lower_fpcore;
 use chassis::rng::Rng;
 use fpcore::eval::semantic_bits;
-use fpcore::Symbol;
 use targets::analysis::{self, Mode};
 use targets::{builtin, eval_float_expr_indexed, Columns};
 
@@ -149,89 +145,4 @@ fn verifier_rejects_seeded_mutants_of_corpus_programs() {
         mutants > 50,
         "expected a real mutant population ({mutants})"
     );
-}
-
-/// The interval analysis must prove a select uniform when the sampler domain
-/// decides its condition, and must leave it undecided when it does not.
-#[test]
-fn interval_analysis_decides_selects_from_domains() {
-    let target = builtin::by_name("c99").unwrap();
-    let core = fpcore::parse_fpcore(
-        "(FPCore (x) :pre (and (> x 1) (< x 8)) (if (> x 0) (exp x) (sqrt x)))",
-    )
-    .unwrap();
-    let expr = lower_fpcore(&core, &target).unwrap();
-    let program = targets::compile(&target, &expr);
-
-    // Domain (1, 8): x > 0 is always true, so the select is uniform (then
-    // arm) — and exp's argument stays within its kernel's safe range.
-    let domains = analysis::domains_from_pre(core.pre.as_ref());
-    let decided = analysis::interval_analysis(&program, Some(&target), &domains);
-    assert_eq!(
-        decided.uniform_selects.len(),
-        1,
-        "domain decides the branch"
-    );
-    assert!(decided.uniform_selects[0].takes_then);
-    assert!(
-        decided.safe_calls.iter().any(|c| c.kernel == "exp"),
-        "exp over (1, 8) stays on the kernel's special-case-free range"
-    );
-
-    // Domain (-4, 8) straddles the condition: nothing may be claimed.
-    let straddling = vec![(Symbol::new("x"), (-4.0, 8.0))];
-    let undecided = analysis::interval_analysis(&program, Some(&target), &straddling);
-    assert!(undecided.uniform_selects.is_empty());
-}
-
-/// `domains_from_pre` bounds must stay outside their literal even when the
-/// literal's numerator or denominator exceeds 2^53, where `Rational::to_f64`
-/// rounds each part before dividing and can land more than an ulp away. The
-/// sampler rejects points outside these ranges without asking Rival, so an
-/// `f64` just outside a bound must falsify its clause; Rival is the oracle.
-#[test]
-fn domains_from_pre_bounds_exclude_their_literals() {
-    use fpcore::{Constant, Expr, Rational, RealOp};
-    let evaluator = rival::Evaluator::new();
-    let x = Symbol::new("x");
-    let mut rng = Rng::new(0x5EED_2053);
-    let mut checked = 0;
-    while checked < 300 {
-        // Parts of 40 to 100 bits, at least one of them above 2^53.
-        let mut part = || (u128::from(rng.next_u64()) << (rng.below(61) + 40) >> 64) | 1;
-        let (num, den) = (part(), part());
-        if num.max(den) <= 1 << 53 {
-            continue;
-        }
-        let sign = if rng.below(2) == 0 { 1 } else { -1 };
-        let literal = Expr::Num(Constant::Rational(Rational::new(sign * num as i128, den)));
-        for op in [RealOp::Lt, RealOp::Le, RealOp::Gt, RealOp::Ge] {
-            for var_first in [true, false] {
-                let args = if var_first {
-                    vec![Expr::Var(x), literal.clone()]
-                } else {
-                    vec![literal.clone(), Expr::Var(x)]
-                };
-                let clause = Expr::Op(op, args);
-                let domains = analysis::domains_from_pre(Some(&clause));
-                let [(sym, (lo, hi))] = domains[..] else {
-                    panic!("{clause:?} gives one domain, got {domains:?}");
-                };
-                assert_eq!(sym, x);
-                let outside = if lo.is_finite() {
-                    [lo.next_down(), lo.next_down().next_down()]
-                } else {
-                    [hi.next_up(), hi.next_up().next_up()]
-                };
-                for v in outside {
-                    assert_eq!(
-                        evaluator.eval_bool(&clause, &[(x, v)]),
-                        Some(false),
-                        "{v:e} lies outside [{lo:e}, {hi:e}] but satisfies {clause:?}"
-                    );
-                }
-            }
-        }
-        checked += 1;
-    }
 }

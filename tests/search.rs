@@ -1,10 +1,9 @@
 //! Integration tests of the parallel search internals as seen through the
 //! public API: wall-clock budget cuts that land *during* the improve loop's
-//! saturation fan-out, equivalence of the uniform and mixed-precision
-//! ground-truth engines, and the `SearchStats`/`PhaseFinished` observability
+//! saturation fan-out, and the `SearchStats`/`PhaseFinished` observability
 //! contract.
 
-use chassis::{Budget, Config, Phase, Progress, SearchControl, Session, TruthEngine};
+use chassis::{Budget, Config, Phase, Progress, SearchControl, Session};
 use fpcore::parse_fpcore;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -144,52 +143,6 @@ fn installed_empty_fault_plan_is_invisible() {
 }
 
 #[test]
-fn truth_engines_produce_bit_identical_results() {
-    // The mixed-precision engine's reuse rules are restricted to provably
-    // precision-independent values, so switching engines must change only
-    // cache counters — never a frontier bit. This is the property that makes
-    // concurrent cache access safe: seed availability (which depends on
-    // evaluation order) affects performance only.
-    let core = cancellation();
-    for target_name in ["c99", "arith-fma"] {
-        let target = builtin::by_name(target_name).unwrap();
-        let mut uniform_config = Config::fast();
-        uniform_config.truth_engine = TruthEngine::Uniform;
-        let mut adaptive_config = Config::fast();
-        adaptive_config.truth_engine = TruthEngine::Adaptive;
-
-        let uniform = Session::new(uniform_config)
-            .compile(&core, &target)
-            .unwrap();
-        let adaptive = Session::new(adaptive_config)
-            .compile(&core, &target)
-            .unwrap();
-
-        assert_eq!(
-            uniform.implementations.len(),
-            adaptive.implementations.len(),
-            "{target_name}: frontier sizes differ across truth engines"
-        );
-        for (u, a) in uniform
-            .implementations
-            .iter()
-            .zip(&adaptive.implementations)
-        {
-            assert_eq!(u.rendered, a.rendered, "{target_name}: programs differ");
-            assert_eq!(
-                u.error_bits.to_bits(),
-                a.error_bits.to_bits(),
-                "{target_name}: errors differ across truth engines"
-            );
-        }
-        // The engines differ only in their work counters: the adaptive run
-        // tracks per-node evaluations, the uniform run does not.
-        assert!(adaptive.stats.truths.node_evals > 0);
-        assert_eq!(uniform.stats.truths.node_evals, 0);
-    }
-}
-
-#[test]
 fn phase_durations_are_observable_and_match_the_stats() {
     let core = cancellation();
     let target = builtin::by_name("c99").unwrap();
@@ -239,5 +192,9 @@ fn phase_durations_are_observable_and_match_the_stats() {
     assert!(
         stats.truths.misses > 0,
         "a fresh compile must miss the ground-truth cache at least once"
+    );
+    assert!(
+        stats.truths.node_evals >= stats.truths.misses as u64,
+        "every cache miss evaluates interval nodes"
     );
 }
