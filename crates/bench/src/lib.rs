@@ -145,12 +145,13 @@ impl HarnessOptions {
     /// [`HarnessOptions::parse`] over the process arguments. On an error it
     /// prints the error and a usage line, and exits with status 2.
     pub fn from_args_with(extra: &[&str]) -> (HarnessOptions, Vec<Option<String>>) {
-        let args: Vec<String> = std::env::args().skip(1).collect();
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        let args: Vec<String> = args.collect();
         HarnessOptions::parse(&args, extra).unwrap_or_else(|error| {
             let flags: String = extra.iter().map(|f| format!(" [{f} V]")).collect();
             eprintln!(
-                "error: {error}
-usage: [--limit N] [--full] [--thorough] [--seed N]{flags}"
+                "error: {error}\nusage: {program} [--limit N] [--full] [--thorough] [--seed N]{flags}"
             );
             std::process::exit(2)
         })

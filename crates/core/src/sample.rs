@@ -308,8 +308,7 @@ impl Sampler {
     /// request is filled, which keeps the result independent of thread count.
     ///
     /// Before Rival decides the precondition, an attempt with a variable
-    /// outside its closed range from the `:pre`'s top-level comparisons is
-    /// rejected with
+    /// outside its closed range from `domains_from_pre` is rejected with
     /// `f64` comparisons. This never changes the outcome: the range
     /// bounds are literals rounded outward, so such a point falsifies a
     /// top-level conjunct of the `:pre` over the reals, and Rival could never
