@@ -80,7 +80,7 @@ fn check_grid(grid: &Grid) -> Result<usize, String> {
 }
 
 fn main() {
-    let (options, extra) = HarnessOptions::from_args_with(&["--plans"]);
+    let (options, extra) = HarnessOptions::from_args_with(8, &["--plans"]);
     let n_plans: u64 = flag_value("--plans", extra[0].as_deref()).unwrap_or(200);
 
     // A micro search configuration: the gate exercises control flow, not

@@ -15,10 +15,11 @@
 //! 4. as a by-product, prints the register-slab height compaction saved.
 //!
 //! The suite is the benchmark corpus, a few branch-heavy synthetic cases
-//! (the corpus is straight-line, so selects and skip ranges would otherwise
-//! go unexercised), and one single-call program per native operator of every
-//! target (which exercises the sweep/scalar pairing rules and the plain-call
-//! instruction form that direct lowering never emits).
+//! (no corpus benchmark contains an `if`, so without them no `Select` would
+//! reach the verifier or the mutation harness), and one single-call program
+//! per native operator of every target (which exercises the sweep/scalar
+//! pairing rules and the plain-call instruction form that direct lowering
+//! never emits).
 //!
 //! Usage: `lint_ir [--seed N]` (the seed only scatters mutation sites; any
 //! seed must produce only rejected mutants, so CI failures reproduce locally
@@ -35,8 +36,7 @@ use targets::{builtin, FloatExpr, OpId, Program, Target};
 
 /// Branch-heavy synthetic cases that complement the corpus: the corpus
 /// benchmarks are straight-line (their preconditions carry the branching),
-/// so selects and skip ranges — and the mutation kinds that target them —
-/// would otherwise go unexercised by the lint.
+/// so without these no `Select` would be verified or mutated.
 const SYNTHETIC: &[(&str, &str)] = &[
     (
         "branchy-exp",

@@ -102,7 +102,7 @@ fn best_of(target: &Target, workloads: &[Workload]) -> (Duration, Vec<f64>) {
 }
 
 fn main() {
-    let (options, extra) = HarnessOptions::from_args_with(&["--min-speedup"]);
+    let (options, extra) = HarnessOptions::from_args_with(8, &["--min-speedup"]);
     // 0 = no gate.
     let min_speedup: f64 = flag_value("--min-speedup", extra[0].as_deref()).unwrap_or(0.0);
     let target = builtin::by_name("c99").expect("c99 target");

@@ -201,7 +201,7 @@ fn to_json(
 }
 
 fn main() {
-    let (options, extra) = HarnessOptions::from_args_with(&["--min-par-speedup", "--out"]);
+    let (options, extra) = HarnessOptions::from_args_with(8, &["--min-par-speedup", "--out"]);
     // 0 = no gate.
     let min_par_speedup: f64 = flag_value("--min-par-speedup", extra[0].as_deref()).unwrap_or(0.0);
     let out = extra[1].as_deref().unwrap_or("BENCH_search.json");

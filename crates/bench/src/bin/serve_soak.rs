@@ -46,7 +46,7 @@
 //!     --limit 2 --rounds 2 --max-fast-p99-frac 0.5 --out BENCH_soak.json
 //! ```
 
-use chassis_bench::{corpus_cores, resolve_targets, HarnessOptions};
+use chassis_bench::{corpus_cores, flag_value, resolve_targets, HarnessOptions};
 use fault::{FaultAction, FaultPlan};
 use fpcore::hash::canonical_text;
 use fpcore::FPCore;
@@ -61,9 +61,7 @@ use targets::Target;
 const TARGETS: &[&str] = &["c99", "arith-fma"];
 
 struct Options {
-    limit: usize,
-    seed: Option<u64>,
-    thorough: bool,
+    harness: HarnessOptions,
     workers: usize,
     clients: usize,
     per_client: usize,
@@ -73,85 +71,33 @@ struct Options {
 }
 
 impl Options {
-    /// Strict parsing: this binary is a CI gate, so an unknown flag or an
-    /// unparsable value aborts (exit 2) instead of silently falling back to
-    /// a default that could leave the gate disabled.
+    /// The shared strict harness parser with this binary's own flags: an
+    /// unknown flag or an unparsable value exits with status 2 instead of
+    /// falling back to a default that could leave the gate disabled.
     fn from_args() -> Options {
-        let mut options = Options {
-            limit: 2,
-            seed: None,
-            thorough: false,
-            workers: 2,
-            clients: 4,
-            per_client: 3,
-            rounds: 3,
-            max_fast_p99_frac: 0.0,
-            out: "BENCH_soak.json".to_owned(),
+        let (harness, extra) = HarnessOptions::from_args_with(
+            2,
+            &[
+                "--workers",
+                "--clients",
+                "--per-client",
+                "--rounds",
+                "--max-fast-p99-frac",
+                "--out",
+            ],
+        );
+        let options = Options {
+            harness,
+            workers: flag_value("--workers", extra[0].as_deref()).unwrap_or(2),
+            clients: flag_value("--clients", extra[1].as_deref()).unwrap_or(4),
+            per_client: flag_value("--per-client", extra[2].as_deref()).unwrap_or(3),
+            rounds: flag_value("--rounds", extra[3].as_deref()).unwrap_or(3),
+            max_fast_p99_frac: flag_value("--max-fast-p99-frac", extra[4].as_deref())
+                .unwrap_or(0.0),
+            out: extra[5]
+                .clone()
+                .unwrap_or_else(|| "BENCH_soak.json".to_owned()),
         };
-        let usage = "usage: serve_soak [--limit N] [--full] [--seed N] [--thorough] \
-                     [--workers N] [--clients N] [--per-client N] [--rounds N] \
-                     [--max-fast-p99-frac F] [--out PATH]";
-        fn value<T: std::str::FromStr>(args: &[String], i: usize, usage: &str) -> T {
-            args.get(i + 1)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("bad or missing value for {}\n{usage}", args[i]);
-                    std::process::exit(2);
-                })
-        }
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--limit" => {
-                    options.limit = value(&args, i, usage);
-                    i += 2;
-                }
-                "--full" => {
-                    options.limit = usize::MAX;
-                    i += 1;
-                }
-                "--seed" => {
-                    options.seed = Some(value(&args, i, usage));
-                    i += 2;
-                }
-                "--thorough" => {
-                    options.thorough = true;
-                    i += 1;
-                }
-                "--workers" => {
-                    options.workers = value(&args, i, usage);
-                    i += 2;
-                }
-                "--clients" => {
-                    options.clients = value(&args, i, usage);
-                    i += 2;
-                }
-                "--per-client" => {
-                    options.per_client = value(&args, i, usage);
-                    i += 2;
-                }
-                "--rounds" => {
-                    options.rounds = value(&args, i, usage);
-                    i += 2;
-                }
-                "--max-fast-p99-frac" => {
-                    options.max_fast_p99_frac = value(&args, i, usage);
-                    i += 2;
-                }
-                "--out" => {
-                    options.out = args.get(i + 1).cloned().unwrap_or_else(|| {
-                        eprintln!("missing value for --out\n{usage}");
-                        std::process::exit(2);
-                    });
-                    i += 2;
-                }
-                other => {
-                    eprintln!("unknown option {other:?}\n{usage}");
-                    std::process::exit(2);
-                }
-            }
-        }
         if options.clients <= options.workers {
             eprintln!(
                 "warning: {} clients do not overload {} workers; the soak is weaker",
@@ -161,19 +107,11 @@ impl Options {
         options
     }
 
-    fn harness(&self) -> HarnessOptions {
-        HarnessOptions {
-            limit: self.limit,
-            fast: !self.thorough,
-            seed: self.seed,
-        }
-    }
-
     fn config_name(&self) -> &'static str {
-        if self.thorough {
-            "default"
-        } else {
+        if self.harness.fast {
             "fast"
+        } else {
+            "default"
         }
     }
 }
@@ -350,7 +288,7 @@ fn tally_json(tally: &[(String, usize)]) -> String {
 
 fn main() {
     let options = Options::from_args();
-    let harness = options.harness();
+    let harness = &options.harness;
     let benchmarks = harness.benchmarks();
     let cores: Vec<FPCore> = corpus_cores(&benchmarks);
     let target_list: Vec<Target> = resolve_targets(TARGETS);

@@ -36,7 +36,7 @@
 //!     --limit 6 --min-warm-speedup 10 --max-warm-p99-frac 0.5 --out BENCH_serve.json
 //! ```
 
-use chassis_bench::{corpus_cores, resolve_targets, HarnessOptions, ResultGrid};
+use chassis_bench::{corpus_cores, flag_value, resolve_targets, HarnessOptions, ResultGrid};
 use fpcore::hash::canonical_text;
 use fpcore::FPCore;
 use service::{client, Json, ServerConfig};
@@ -49,9 +49,7 @@ use targets::Target;
 const TARGETS: &[&str] = &["c99", "arith-fma"];
 
 struct Options {
-    limit: usize,
-    seed: Option<u64>,
-    thorough: bool,
+    harness: HarnessOptions,
     workers: usize,
     min_warm_speedup: f64,
     max_warm_p99_frac: f64,
@@ -59,92 +57,37 @@ struct Options {
 }
 
 impl Options {
-    /// Strict parsing: this binary is a CI gate, so an unknown flag or an
-    /// unparsable value aborts (exit 2) instead of silently falling back to
-    /// a default that could leave the gate disabled.
+    /// The shared strict harness parser with this binary's own flags: an
+    /// unknown flag or an unparsable value exits with status 2 instead of
+    /// falling back to a default that could leave the gate disabled.
     fn from_args() -> Options {
-        let mut options = Options {
-            limit: 6,
-            seed: None,
-            thorough: false,
-            workers: 2,
-            min_warm_speedup: 0.0,
-            max_warm_p99_frac: 0.0,
-            out: "BENCH_serve.json".to_owned(),
-        };
-        let usage = "usage: serve_throughput [--limit N] [--full] [--seed N] \
-                     [--thorough] [--workers N] [--min-warm-speedup X] \
-                     [--max-warm-p99-frac F] [--out PATH]";
-        fn value<T: std::str::FromStr>(args: &[String], i: usize, usage: &str) -> T {
-            args.get(i + 1)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("bad or missing value for {}\n{usage}", args[i]);
-                    std::process::exit(2);
-                })
-        }
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--limit" => {
-                    options.limit = value(&args, i, usage);
-                    i += 2;
-                }
-                "--full" => {
-                    options.limit = usize::MAX;
-                    i += 1;
-                }
-                "--seed" => {
-                    options.seed = Some(value(&args, i, usage));
-                    i += 2;
-                }
-                "--thorough" => {
-                    options.thorough = true;
-                    i += 1;
-                }
-                "--workers" => {
-                    options.workers = value(&args, i, usage);
-                    i += 2;
-                }
-                "--min-warm-speedup" => {
-                    options.min_warm_speedup = value(&args, i, usage);
-                    i += 2;
-                }
-                "--max-warm-p99-frac" => {
-                    options.max_warm_p99_frac = value(&args, i, usage);
-                    i += 2;
-                }
-                "--out" => {
-                    options.out = args.get(i + 1).cloned().unwrap_or_else(|| {
-                        eprintln!("missing value for --out\n{usage}");
-                        std::process::exit(2);
-                    });
-                    i += 2;
-                }
-                other => {
-                    eprintln!("unknown option {other:?}\n{usage}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        options
-    }
-
-    fn harness(&self) -> HarnessOptions {
-        HarnessOptions {
-            limit: self.limit,
-            fast: !self.thorough,
-            seed: self.seed,
+        let (harness, extra) = HarnessOptions::from_args_with(
+            6,
+            &[
+                "--workers",
+                "--min-warm-speedup",
+                "--max-warm-p99-frac",
+                "--out",
+            ],
+        );
+        Options {
+            harness,
+            workers: flag_value("--workers", extra[0].as_deref()).unwrap_or(2),
+            min_warm_speedup: flag_value("--min-warm-speedup", extra[1].as_deref()).unwrap_or(0.0),
+            max_warm_p99_frac: flag_value("--max-warm-p99-frac", extra[2].as_deref())
+                .unwrap_or(0.0),
+            out: extra[3]
+                .clone()
+                .unwrap_or_else(|| "BENCH_serve.json".to_owned()),
         }
     }
 
-    /// The wire-protocol config name matching [`Options::harness`].
+    /// The wire-protocol config name matching the harness configuration.
     fn config_name(&self) -> &'static str {
-        if self.thorough {
-            "default"
-        } else {
+        if self.harness.fast {
             "fast"
+        } else {
+            "default"
         }
     }
 }
@@ -434,7 +377,7 @@ fn start_daemon(options: &Options, disk: &Path) -> service::Handle {
 
 fn main() {
     let options = Options::from_args();
-    let harness = options.harness();
+    let harness = &options.harness;
     let benchmarks = harness.benchmarks();
     let cores: Vec<FPCore> = corpus_cores(&benchmarks);
     let target_list: Vec<Target> = resolve_targets(TARGETS);

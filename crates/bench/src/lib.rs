@@ -102,8 +102,10 @@ impl Default for HarnessOptions {
 impl HarnessOptions {
     /// Parses the harness flags — `--limit N`, `--full`, `--thorough` and
     /// `--seed N` — from `args`, the arguments after the program name.
-    /// `extra` declares the flags the calling binary reads itself; each takes
-    /// one value, returned in declaration order (`None` when absent).
+    /// `limit` is the calling binary's default benchmark count, kept when
+    /// neither `--limit` nor `--full` is given. `extra` declares the flags
+    /// the calling binary reads itself; each takes one value, returned in
+    /// declaration order (`None` when absent).
     ///
     /// # Errors
     ///
@@ -112,9 +114,13 @@ impl HarnessOptions {
     /// not quietly disable a gate.
     pub fn parse(
         args: &[String],
+        limit: usize,
         extra: &[&str],
     ) -> Result<(HarnessOptions, Vec<Option<String>>), String> {
-        let mut options = HarnessOptions::default();
+        let mut options = HarnessOptions {
+            limit,
+            ..HarnessOptions::default()
+        };
         let mut values = vec![None; extra.len()];
         let mut args = args.iter();
         while let Some(flag) = args.next() {
@@ -137,18 +143,18 @@ impl HarnessOptions {
     }
 
     /// [`HarnessOptions::parse`] over the process arguments, for a binary
-    /// that reads no flags of its own.
+    /// that reads no flags of its own and runs 8 benchmarks by default.
     pub fn from_args() -> HarnessOptions {
-        HarnessOptions::from_args_with(&[]).0
+        HarnessOptions::from_args_with(HarnessOptions::default().limit, &[]).0
     }
 
     /// [`HarnessOptions::parse`] over the process arguments. On an error it
     /// prints the error and a usage line, and exits with status 2.
-    pub fn from_args_with(extra: &[&str]) -> (HarnessOptions, Vec<Option<String>>) {
+    pub fn from_args_with(limit: usize, extra: &[&str]) -> (HarnessOptions, Vec<Option<String>>) {
         let mut args = std::env::args();
         let program = args.next().unwrap_or_default();
         let args: Vec<String> = args.collect();
-        HarnessOptions::parse(&args, extra).unwrap_or_else(|error| {
+        HarnessOptions::parse(&args, limit, extra).unwrap_or_else(|error| {
             let flags: String = extra.iter().map(|f| format!(" [{f} V]")).collect();
             eprintln!(
                 "error: {error}\nusage: {program} [--limit N] [--full] [--thorough] [--seed N]{flags}"
@@ -323,8 +329,8 @@ pub fn grid_mismatches(a: &ResultGrid, b: &ResultGrid, strict_errors: bool) -> V
 /// `par_map` calls (each benchmark's accuracy evaluation and sampling) run
 /// serially inside a corpus worker rather than oversubscribing the machine.
 ///
-/// Serial when the `parallel` feature of `chassis` is disabled, or when
-/// `chassis::par::set_thread_count(1)` / `CHASSIS_THREADS=1` is in effect.
+/// Serial when `chassis::par::set_thread_count(1)` / `CHASSIS_THREADS=1` is
+/// in effect.
 pub fn run_corpus<R, F>(benchmarks: &[&'static Benchmark], run: F) -> Vec<R>
 where
     R: Send,
@@ -602,6 +608,7 @@ mod tests {
                 "--seed",
                 "7",
             ]),
+            8,
             &["--plans", "--min-speedup"],
         )
         .unwrap();
@@ -610,7 +617,7 @@ mod tests {
             (3, false, Some(7))
         );
         assert_eq!(extra, vec![None, Some("2".to_owned())]);
-        let (options, extra) = HarnessOptions::parse(&args(&["--full"]), &[]).unwrap();
+        let (options, extra) = HarnessOptions::parse(&args(&["--full"]), 8, &[]).unwrap();
         assert_eq!(
             (options.limit, options.fast, options.seed),
             (usize::MAX, true, None)
@@ -619,24 +626,42 @@ mod tests {
     }
 
     #[test]
+    fn harness_limit_defaults_to_the_callers() {
+        let extras = ["--workers", "--out"];
+        let (options, extra) =
+            HarnessOptions::parse(&args(&["--workers", "3", "--seed", "5"]), 6, &extras).unwrap();
+        assert_eq!(
+            (options.limit, options.fast, options.seed),
+            (6, true, Some(5))
+        );
+        assert_eq!(extra, vec![Some("3".to_owned()), None]);
+        let (options, _) =
+            HarnessOptions::parse(&args(&["--limit", "4", "--out", "o.json"]), 2, &extras).unwrap();
+        assert_eq!(options.limit, 4, "--limit overrides the caller's default");
+        let (options, _) = HarnessOptions::parse(&args(&["--full"]), 2, &extras).unwrap();
+        assert_eq!(options.limit, usize::MAX);
+        assert!(HarnessOptions::parse(&args(&["--worker", "3"]), 6, &extras).is_err());
+    }
+
+    #[test]
     fn unknown_harness_flags_are_errors() {
-        let error =
-            HarnessOptions::parse(&args(&["--min-speedpu", "2"]), &["--min-speedup"]).unwrap_err();
+        let error = HarnessOptions::parse(&args(&["--min-speedpu", "2"]), 8, &["--min-speedup"])
+            .unwrap_err();
         assert!(error.contains("--min-speedpu"), "{error}");
         // A flag another binary declares is unknown to one that does not.
-        assert!(HarnessOptions::parse(&args(&["--min-speedup", "2"]), &[]).is_err());
+        assert!(HarnessOptions::parse(&args(&["--min-speedup", "2"]), 8, &[]).is_err());
     }
 
     #[test]
     fn bad_harness_values_are_errors() {
-        let error = HarnessOptions::parse(&args(&["--limit", "abc"]), &[]).unwrap_err();
+        let error = HarnessOptions::parse(&args(&["--limit", "abc"]), 8, &[]).unwrap_err();
         assert!(
             error.contains("--limit") && error.contains("abc"),
             "{error}"
         );
-        assert!(HarnessOptions::parse(&args(&["--seed", "-1"]), &[]).is_err());
-        assert!(HarnessOptions::parse(&args(&["--seed"]), &[]).is_err());
-        assert!(HarnessOptions::parse(&args(&["--plans"]), &["--plans"]).is_err());
+        assert!(HarnessOptions::parse(&args(&["--seed", "-1"]), 8, &[]).is_err());
+        assert!(HarnessOptions::parse(&args(&["--seed"]), 8, &[]).is_err());
+        assert!(HarnessOptions::parse(&args(&["--plans"]), 8, &["--plans"]).is_err());
     }
 
     #[test]

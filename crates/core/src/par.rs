@@ -2,16 +2,16 @@
 //!
 //! Accuracy evaluation scores each sampled point independently, which makes the
 //! improve/Pareto loop embarrassingly parallel (cf. *Fast Mixed-Precision Real
-//! Evaluation*). With the `parallel` feature (default) the helpers here fan work
-//! out over `std::thread::scope` in contiguous chunks, one per worker, and
-//! reassemble results **in input order** — so every caller observes exactly the
-//! serial result, bit for bit, regardless of thread count. Without the feature
-//! they degrade to plain serial iteration and the crate stays single-threaded.
+//! Evaluation*). The helpers here fan work out over `std::thread::scope` in
+//! contiguous chunks, one per worker, and reassemble results **in input
+//! order** — so every caller observes exactly the serial result, bit for bit,
+//! regardless of thread count.
 //!
 //! The worker count defaults to the machine's available parallelism and can be
 //! overridden at runtime with [`set_thread_count`] or the `CHASSIS_THREADS`
 //! environment variable (useful for benchmarking the serial/parallel paths
-//! against each other in one process).
+//! against each other in one process); a count of 1 runs every helper as a
+//! plain serial loop on the calling thread.
 
 // Part of the `compile_many` call path: every failure must be a typed error
 // or a transported panic payload, never an ad-hoc unwrap (see
@@ -24,7 +24,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// machine's available parallelism.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-#[cfg(feature = "parallel")]
 std::thread_local! {
     /// True inside a `par_map` worker. Nested calls (a parallel corpus loop
     /// whose benchmarks each evaluate accuracy in parallel) run serially in
@@ -62,10 +61,10 @@ pub fn effective_threads(len: usize) -> usize {
 
 /// Maps `f` over the index range `0..len`, returning results in index order.
 ///
-/// This is the core primitive: with the `parallel` feature, the range is split
-/// into one contiguous sub-range per worker and results are concatenated in
-/// range order, so the output is identical to `(0..len).map(f).collect()` —
-/// no index buffer is materialized on either path.
+/// This is the core primitive: the range is split into one contiguous
+/// sub-range per worker and results are concatenated in range order, so the
+/// output is identical to `(0..len).map(f).collect()` — no index buffer is
+/// materialized on either path.
 pub fn par_map_range<R, F>(len: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -83,7 +82,6 @@ where
 /// worker's register file is built once per chunk — not once per point — by
 /// `init`. The state cannot influence results (it is scratch space), so the
 /// output remains bit-identical to the serial path at any thread count.
-#[cfg(feature = "parallel")]
 pub fn par_map_range_with<S, R, I, F>(len: usize, init: I, f: F) -> Vec<R>
 where
     R: Send,
@@ -153,18 +151,6 @@ where
     })
 }
 
-/// Serial fallback when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-pub fn par_map_range_with<S, R, I, F>(len: usize, init: I, f: F) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    let mut state = init();
-    (0..len).map(|i| f(&mut state, i)).collect()
-}
-
 /// Like [`par_map_range_with`], but the unit of work is a *block* of
 /// consecutive indices instead of one index: `fill(state, start, out)` must
 /// fill `out[l]` with the result for index `start + l`.
@@ -178,7 +164,6 @@ where
 /// count; combined with a `fill` whose per-index results are
 /// position-independent (the block engine is bit-identical at any width),
 /// the output equals the serial sweep bit for bit.
-#[cfg(feature = "parallel")]
 pub fn par_map_blocks_with<S, R, I, F>(len: usize, block: usize, init: I, fill: F) -> Vec<R>
 where
     R: Send + Clone + Default,
@@ -235,7 +220,6 @@ where
 
 /// Spawns a scoped `par` worker, or returns the error if the OS refuses the
 /// thread (`Scope::spawn` would panic instead).
-#[cfg(feature = "parallel")]
 fn spawn_worker<'scope, T: Send + 'scope>(
     scope: &'scope std::thread::Scope<'scope, '_>,
     work: impl FnOnce() -> T + Send + 'scope,
@@ -244,23 +228,6 @@ fn spawn_worker<'scope, T: Send + 'scope>(
         IN_PAR_WORKER.with(|w| w.set(true));
         work()
     })
-}
-
-/// Serial fallback when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-pub fn par_map_blocks_with<S, R, I, F>(len: usize, block: usize, init: I, fill: F) -> Vec<R>
-where
-    R: Send + Clone + Default,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [R]) + Sync,
-{
-    let block = block.max(1);
-    let mut out = vec![R::default(); len];
-    let mut state = init();
-    for (i, piece) in out.chunks_mut(block).enumerate() {
-        fill(&mut state, i * block, piece);
-    }
-    out
 }
 
 /// Maps `f` over `items`, returning results in input order.
@@ -323,7 +290,6 @@ mod tests {
         set_thread_count(0);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn nested_par_map_runs_serially_in_workers() {
         let _guard = test_lock();

@@ -211,36 +211,81 @@ mod tests {
 
     #[test]
     fn splits_between_complementary_candidates() {
-        // expm1(x) is exact for the function e^x - 1; exp(x) - 1 is terrible near
-        // zero but fine for large x... construct two artificial candidates that
-        // are each good on one side of zero and check a split is found.
+        // On (-1, 1), `x` computes |x| exactly on the non-negative half and
+        // `(- x)` on the negative half; each gets the sign wrong on the
+        // other half, so the right program branches on the sign of x.
         let t = builtin::by_name("c99").unwrap();
-        let core = parse_fpcore("(FPCore (x) :pre (and (> x -1) (< x 1)) (expm1 x))").unwrap();
+        let core = parse_fpcore("(FPCore (x) :pre (and (> x -1) (< x 1)) (fabs x))").unwrap();
         let samples = Sampler::new(17).sample(&core, 16, 4).unwrap();
         let lowering = DirectLowering::new(&t);
-        // Candidate A: accurate everywhere (direct expm1).
-        let good = lowering.lower(&core.body, FpType::Binary64).unwrap();
-        // Candidate B: exp(x) - 1 (inaccurate near zero, cheap-ish elsewhere).
-        let bad = lowering
-            .lower(&parse_expr("(- (exp x) 1)").unwrap(), FpType::Binary64)
-            .unwrap();
+        let lower = |src: &str| {
+            lowering
+                .lower(&parse_expr(src).unwrap(), FpType::Binary64)
+                .unwrap()
+        };
+        let errors_of = |expr: &FloatExpr| {
+            accuracy::per_point_errors(
+                &t,
+                expr,
+                &samples.vars,
+                &samples.train,
+                &samples.train_truth,
+                samples.output_type,
+            )
+        };
+        let (pos, neg) = (lower("x"), lower("(- x)"));
+        let (pos_err, _) = accuracy::evaluate_on_train(&t, &pos, &samples);
+        let (neg_err, _) = accuracy::evaluate_on_train(&t, &neg, &samples);
+        assert_ne!(pos_err, neg_err, "the sample should not split evenly");
+        // Costs ordered opposite to errors, so neither candidate dominates
+        // and both stay on the frontier.
         let mut frontier = ParetoFrontier::new();
-        for expr in [good.clone(), bad.clone()] {
-            let (err, _) = accuracy::evaluate_on_train(&t, &expr, &samples);
-            let cost = program_cost(&t, &expr);
-            frontier.insert(
+        for (expr, err) in [(pos.clone(), pos_err), (neg.clone(), neg_err)] {
+            let cost = if err < pos_err.max(neg_err) { 2.0 } else { 1.0 };
+            let candidate = Candidate {
+                expr,
                 cost,
-                err,
-                Candidate {
-                    expr,
-                    cost,
-                    error_bits: err,
-                },
+                error_bits: err,
+            };
+            assert!(frontier.insert(cost, err, candidate));
+        }
+
+        let (branched, _, train_error) =
+            infer_regimes(&t, &frontier, &samples).expect("complementary candidates split");
+        assert!(
+            train_error < pos_err.min(neg_err),
+            "split error {train_error} vs candidates {pos_err} and {neg_err}"
+        );
+        let FloatExpr::If(cond, low, high) = &branched else {
+            panic!("a split is a conditional: {branched:?}");
+        };
+        let FloatExpr::Cmp(RealOp::Lt, _, threshold) = cond.as_ref() else {
+            panic!("a split compares a variable against a threshold: {cond:?}");
+        };
+        let FloatExpr::Num(threshold, _) = **threshold else {
+            panic!("the threshold is a literal: {threshold:?}");
+        };
+        let (low, high) = (low.as_ref(), high.as_ref());
+        assert!(
+            (low, high) == (&pos, &neg) || (low, high) == (&neg, &pos),
+            "the arms are the two candidates"
+        );
+        // The branched program runs on the block engine as one Select; at
+        // every training point its error must be exactly the error of the
+        // candidate its branch picks there.
+        let (branched_errors, low_errors, high_errors) =
+            (errors_of(&branched), errors_of(low), errors_of(high));
+        for (k, &x) in samples.train.col(0).iter().enumerate() {
+            let picked = if x < threshold {
+                &low_errors
+            } else {
+                &high_errors
+            };
+            assert_eq!(
+                branched_errors[k].to_bits(),
+                picked[k].to_bits(),
+                "training point {k} (x = {x})"
             );
         }
-        // A regime split can only help if both candidates survived on the frontier
-        // (the accurate one may dominate outright, in which case no split is the
-        // right answer). Either outcome must not panic.
-        let _ = infer_regimes(&t, &frontier, &samples);
     }
 }

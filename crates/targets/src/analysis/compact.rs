@@ -24,20 +24,17 @@
 //! **Bit-identity sketch.** The rewrite is a pure renaming: instruction
 //! order, operations, and value flow are unchanged, and liveness guarantees
 //! no register is reused while its old value can still be read — including
-//! reads by a select's *dead* arm operand, because liveness is computed on
-//! the linear program (see [`crate::analysis::liveness`](mod@crate::analysis::liveness)). Skip ranges stay
-//! sound for the same reason: a register written inside a range and renamed
-//! is only ever read after the range by the owning select's dead-arm operand
-//! (the privacy invariant), and its renamed slot cannot be reallocated
-//! before that read. The corpus-wide differential suite asserts identity
-//! across all three engines at several block widths.
+//! reads by a select's untaken arm operand, because a select reads both arms
+//! on every lane (see [`crate::analysis::liveness`](mod@crate::analysis::liveness)).
+//! The corpus-wide differential suite asserts identity across all three
+//! engines at several block widths.
 //!
 //! The output is no longer write-once (registers are deliberately reused),
 //! so it verifies under [`Mode::Executable`](crate::analysis::verify::Mode),
 //! not `Mode::Ssa`.
 
-use crate::analysis::liveness::liveness;
-use crate::compile::{Instr, Program, SkipRange};
+use crate::analysis::liveness::{liveness, RegSet};
+use crate::compile::{Instr, Program};
 use std::collections::BTreeSet;
 use std::ops::Bound;
 
@@ -59,7 +56,7 @@ pub fn compact_registers(program: &Program) -> (Program, CompactStats) {
     let mut next: u32 = 0;
     let mut consts = Vec::with_capacity(program.consts.len());
     let mut vars = Vec::with_capacity(program.vars.len());
-    let mut const_regs = crate::analysis::dataflow::RegSet::new(program.num_regs());
+    let mut const_regs = RegSet::new(program.num_regs());
     for &(reg, value) in &program.consts {
         map[reg as usize] = next;
         const_regs.insert(reg);
@@ -163,23 +160,12 @@ pub fn compact_registers(program: &Program) -> (Program, CompactStats) {
         }
     }
 
-    let skips: Vec<SkipRange> = program
-        .skips
-        .iter()
-        .map(|sk| SkipRange {
-            start: sk.start,
-            end: sk.end,
-            cond: map[sk.cond as usize],
-            dead_when: sk.dead_when,
-        })
-        .collect();
     let compacted = Program {
         n_regs: next as usize,
         consts,
         vars,
         instrs,
         arg_pool,
-        skips,
         result: map[program.result as usize],
     };
     let stats = CompactStats {
@@ -239,7 +225,6 @@ mod tests {
                 },
             ],
             arg_pool: vec![],
-            skips: vec![],
             result: 6,
         }
     }

@@ -1,90 +1,105 @@
 //! Backward liveness analysis over the linear program.
 //!
 //! A register is *live* at a program point when its current value may still
-//! be read at or after that point. Reads are the instruction operands, the
-//! program result (live at exit), and — crucially for the block engine — the
-//! condition register of every skip range at the range's *start*: the block
-//! evaluator tests the condition lanes when it reaches `skip.start`, before
-//! executing (or skipping) the range, so the condition must survive at least
-//! that long even if no instruction reads it there.
+//! be read at or after that point. Reads are the instruction operands and the
+//! program result (live at exit).
 //!
-//! Liveness is computed on the *linear* instruction stream, dead select arms
-//! included. That is deliberate: a select reads both of its arm registers on
-//! every lane (the dead lanes are discarded, not unread), so any register a
-//! dead arm feeds stays allocated until the select. This is exactly the
-//! property that makes liveness-driven [compaction](crate::analysis::compact)
-//! sound in the presence of skip ranges.
+//! A compiled program has no jumps — conditionals are selects — so its
+//! control-flow graph is a single straight line, and liveness is one backward
+//! sweep from exit to entry. A select reads both of its arm registers on
+//! every lane (the untaken lanes are discarded, not unread), so any register
+//! an arm feeds stays allocated until the select. This is what makes
+//! liveness-driven [compaction](crate::analysis::compact) sound for programs
+//! with conditionals.
 
-use crate::analysis::dataflow::{solve, Analysis, RegSet};
 use crate::compile::Program;
 
-/// The solved liveness facts: `live[i]` is the set of registers live
-/// *before* instruction `i`, and `live[n]` the set live at exit.
+/// A dense bitset over register numbers — the fact type of [`liveness`] and
+/// the workhorse set of register compaction.
+#[derive(Clone, Debug, Default)]
+pub struct RegSet {
+    words: Vec<u64>,
+}
+
+impl RegSet {
+    /// An empty set sized for `n_regs` registers.
+    pub fn new(n_regs: usize) -> RegSet {
+        RegSet {
+            words: vec![0; n_regs.div_ceil(64)],
+        }
+    }
+
+    /// Inserts `reg`; the set grows if needed.
+    pub fn insert(&mut self, reg: u32) {
+        let (word, bit) = (reg as usize / 64, reg as usize % 64);
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << bit;
+    }
+
+    /// Removes `reg` if present.
+    pub fn remove(&mut self, reg: u32) {
+        let (word, bit) = (reg as usize / 64, reg as usize % 64);
+        if word < self.words.len() {
+            self.words[word] &= !(1 << bit);
+        }
+    }
+
+    /// True when `reg` is in the set.
+    pub fn contains(&self, reg: u32) -> bool {
+        let (word, bit) = (reg as usize / 64, reg as usize % 64);
+        word < self.words.len() && self.words[word] & (1 << bit) != 0
+    }
+
+    /// Number of registers in the set.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// True when no register is set.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Iterates the set in increasing register order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            (0..64)
+                .filter(move |bit| w & (1 << bit) != 0)
+                .map(move |bit| (wi * 64 + bit) as u32)
+        })
+    }
+}
+
+/// The liveness facts: `live[i]` is the set of registers live *before*
+/// instruction `i`, and `live[n]` the set live at exit.
 #[derive(Clone, Debug)]
 pub struct Liveness {
     /// Live-in set per program point (`num_instrs() + 1` entries).
     pub live: Vec<RegSet>,
 }
 
-struct LivenessAnalysis;
-
-impl Analysis for LivenessAnalysis {
-    type Fact = RegSet;
-
-    fn boundary(&self, program: &Program) -> RegSet {
-        let mut exit = RegSet::new(program.num_regs());
-        exit.insert(program.result);
-        exit
-    }
-
-    fn transfer(&self, program: &Program, idx: usize, after: &RegSet) -> RegSet {
-        let mut before = after.clone();
-        let instr = &program.instrs[idx];
+/// Computes liveness for `program` in one backward sweep: an instruction
+/// kills its destination and makes its operands live.
+pub fn liveness(program: &Program) -> Liveness {
+    let n = program.num_instrs();
+    let mut live = vec![RegSet::default(); n + 1];
+    live[n] = RegSet::new(program.num_regs());
+    live[n].insert(program.result);
+    for (i, instr) in program.instrs.iter().enumerate().rev() {
+        let mut before = live[i + 1].clone();
         before.remove(instr.dst());
         instr.for_each_read(&program.arg_pool, |reg| before.insert(reg));
-        // The block engine reads each skip condition when it reaches the
-        // range start: an extra use at `skip.start`.
-        for skip in &program.skips {
-            if skip.start as usize == idx {
-                before.insert(skip.cond);
-            }
-        }
-        before
+        live[i] = before;
     }
-}
-
-/// Computes liveness for `program`.
-pub fn liveness(program: &Program) -> Liveness {
-    Liveness {
-        live: solve(&LivenessAnalysis, program),
-    }
-}
-
-/// The index of the last instruction that reads a register, per program
-/// point of use. `num_instrs()` means the register is read by the program
-/// result (or a skip condition at the very end); `None` means it is never
-/// read at all.
-pub fn last_use_table(program: &Program) -> Vec<Option<usize>> {
-    let n = program.num_instrs();
-    let mut last: Vec<Option<usize>> = vec![None; program.num_regs()];
-    let mut mark = |reg: u32, at: usize| {
-        let slot = &mut last[reg as usize];
-        *slot = Some(slot.map_or(at, |prev| prev.max(at)));
-    };
-    for (i, instr) in program.instrs.iter().enumerate() {
-        instr.for_each_read(&program.arg_pool, |reg| mark(reg, i));
-    }
-    for skip in &program.skips {
-        mark(skip.cond, skip.start as usize);
-    }
-    mark(program.result, n);
-    last
+    Liveness { live }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{Instr, Program, SkipRange};
+    use crate::compile::{Instr, Program};
     use fpcore::RealOp;
 
     /// `r2 = r0 + r1; r3 = r2 * r2; result = r3`, with r0 a constant and r1
@@ -109,7 +124,6 @@ mod tests {
                 },
             ],
             arg_pool: vec![],
-            skips: vec![],
             result: 3,
         }
     }
@@ -128,50 +142,22 @@ mod tests {
     }
 
     #[test]
-    fn last_use_table_matches() {
-        let p = straight_line();
-        let last = last_use_table(&p);
-        assert_eq!(last[0], Some(0));
-        assert_eq!(last[1], Some(0));
-        assert_eq!(last[2], Some(1));
-        assert_eq!(last[3], Some(2), "the result is read at exit");
-    }
-
-    #[test]
-    fn skip_conditions_are_used_at_range_start() {
-        // r1 = x < 0 (pretend: r1 cmp), r2 = exp(x) [skippable arm],
-        // r3 = select(r1, r2, r0).
-        let p = Program {
-            n_regs: 4,
-            consts: vec![(0, 1.0)],
-            vars: vec![(1, fpcore::Symbol::new("x"))],
-            instrs: vec![
-                Instr::Un {
-                    op: RealOp::Neg,
-                    a: 1,
-                    dst: 2,
-                },
-                Instr::Select {
-                    c: 1,
-                    t: 2,
-                    e: 0,
-                    dst: 3,
-                },
-            ],
-            arg_pool: vec![],
-            skips: vec![SkipRange {
-                start: 0,
-                end: 1,
-                cond: 1,
-                dead_when: false,
-            }],
-            result: 3,
-        };
-        let lv = liveness(&p);
-        // The condition (r1, also the select's c) is live before the arm.
-        assert!(lv.live[0].contains(1));
-        let last = last_use_table(&p);
-        // r1's last use is the select itself (index 1 ≥ the skip-start use).
-        assert_eq!(last[1], Some(1));
+    fn regset_basics() {
+        let mut s = RegSet::new(10);
+        assert!(s.is_empty());
+        s.insert(3);
+        s.insert(64);
+        s.insert(200); // grows past the initial sizing
+        assert!(s.contains(3) && s.contains(64) && s.contains(200));
+        assert!(!s.contains(4) && !s.contains(199));
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 64, 200]);
+        s.remove(64);
+        assert!(!s.contains(64));
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 200]);
+        s.remove(3);
+        s.remove(200);
+        assert!(s.is_empty(), "removals leave spare capacity, not members");
     }
 }

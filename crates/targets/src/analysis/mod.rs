@@ -1,4 +1,4 @@
-//! Static analysis over compiled [`Program`]s: verification, dataflow, and
+//! Static analysis over compiled [`Program`]s: verification, liveness, and
 //! a bit-identity-preserving rewrite.
 //!
 //! The whole evaluation pipeline rests on one artifact — the flat
@@ -7,14 +7,12 @@
 //! the corresponding correctness backbone:
 //!
 //! * [`verify`](mod@verify) — a total check of every IR invariant (register
-//!   discipline, bounds, select-arm privacy, sweep/scalar pairing), run
+//!   discipline, bounds, sweep/scalar pairing), run
 //!   automatically after every [`crate::compile()`] in debug builds, on every
 //!   final implementation a compile hands out, and over the full benchmark
 //!   corpus in CI (`lint_ir`);
-//! * [`dataflow`] — a backward worklist framework over the linear SSA
-//!   program;
-//! * [`liveness`](mod@liveness) — backward live-register analysis and the
-//!   last-use table;
+//! * [`liveness`](mod@liveness) — backward live-register analysis, one sweep
+//!   over the jump-free program;
 //! * [`compact`] — liveness-driven register renumbering that shrinks the
 //!   register slab (the block engine's working set) while preserving the
 //!   `dst > operands` discipline the slab split depends on;
@@ -30,13 +28,12 @@
 //! `docs/PROGRAM_IR.md`.
 
 pub mod compact;
-pub mod dataflow;
 pub mod liveness;
 pub mod mutate;
 pub mod verify;
 
 pub use compact::{compact_registers, CompactStats};
-pub use liveness::{last_use_table, liveness, Liveness};
+pub use liveness::{liveness, Liveness};
 pub use mutate::{seeded_mutants, Mutant, MutationKind};
 pub use verify::{verify, verify_target, verify_with_target, Mode, Violation};
 

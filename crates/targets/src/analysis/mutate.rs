@@ -7,9 +7,9 @@
 //! [`verify`](crate::analysis::verify::verify) under
 //! [`Mode::Ssa`](crate::analysis::verify::Mode::Ssa) must reject **every** mutant this
 //! module produces. A mutation kind that does not apply to a given program
-//! (no calls to corrupt, no skips to invert) produces no mutant for it; the
-//! corpus-wide lint (`lint_ir`) additionally asserts that every kind fires
-//! on *some* corpus program, so no rule goes untested.
+//! (no calls to corrupt, no constants to overwrite) produces no mutant for
+//! it; the corpus-wide lint (`lint_ir`) additionally asserts that every kind
+//! fires on *some* program of its suite, so no rule goes untested.
 //!
 //! Mutation sites are chosen with a seeded [SplitMix64] generator so runs
 //! are reproducible and CI failures can be replayed locally from the
@@ -50,15 +50,6 @@ pub enum MutationKind {
     CallRangeOverrun,
     /// A call arity beyond the evaluator maximum (`call-arity`).
     CallArityOverflow,
-    /// A skip range with `start >= end` (`skip-shape`).
-    SkipInverted,
-    /// A skip range stretched over a following instruction whose value
-    /// escapes (`skip-privacy` / `skip-result` / `skip-shape`).
-    SkipLeak,
-    /// A skip condition register beyond `n_regs` (`skip-cond-bounds`).
-    SkipCondOutOfBounds,
-    /// Two skip ranges out of outer-first order (`skip-order`).
-    UnsortedSkips,
 }
 
 impl MutationKind {
@@ -77,10 +68,6 @@ impl MutationKind {
         MutationKind::ArgPoolRegOutOfBounds,
         MutationKind::CallRangeOverrun,
         MutationKind::CallArityOverflow,
-        MutationKind::SkipInverted,
-        MutationKind::SkipLeak,
-        MutationKind::SkipCondOutOfBounds,
-        MutationKind::UnsortedSkips,
     ];
 }
 
@@ -154,46 +141,6 @@ fn set_dst(instr: &mut Instr, reg: u32) {
         | Instr::CallUn { dst, .. }
         | Instr::CallBin { dst, .. } => *dst = reg,
     }
-}
-
-/// Whether stretching skip `k` of `program` one instruction further is
-/// *observable* — i.e. guaranteed to trip a verifier rule. The swallowed
-/// instruction's value must escape the extended range: be the program
-/// result, or be read past it other than through the one exempt select
-/// position. (An unobservable stretch could produce a program that is
-/// genuinely still valid, which the harness must never emit.)
-fn skip_leak_applies(program: &Program, k: usize) -> bool {
-    let sk = &program.skips[k];
-    let (old_end, new_end) = (sk.end as usize, sk.end as usize + 1);
-    if new_end > program.instrs.len() {
-        return true; // out of bounds: `skip-shape` fires
-    }
-    let swallowed = program.instrs[old_end].dst();
-    if swallowed == program.result {
-        return true; // `skip-result` fires
-    }
-    for instr in &program.instrs[new_end..] {
-        match *instr {
-            Instr::Select { c, t, e, .. } => {
-                if c == swallowed {
-                    return true; // condition position is never exempt
-                }
-                let dead_arm = if sk.dead_when { e } else { t };
-                let exempt = c == sk.cond && swallowed == dead_arm;
-                if (t == swallowed || e == swallowed) && !exempt {
-                    return true;
-                }
-            }
-            _ => {
-                let mut read = false;
-                instr.for_each_read(&program.arg_pool, |reg| read |= reg == swallowed);
-                if read {
-                    return true; // `skip-privacy` fires
-                }
-            }
-        }
-    }
-    false
 }
 
 /// Produces one mutant per applicable [`MutationKind`], choosing mutation
@@ -328,45 +275,6 @@ pub fn seeded_mutants(program: &Program, seed: u64) -> Vec<Mutant> {
             format!("instr {i}: call arity -> {} (over the maximum)", *arity)
         });
     }
-    if !program.skips.is_empty() {
-        let k = rng.pick(program.skips.len());
-        emit(MutationKind::SkipInverted, &|p: &mut Program| {
-            let sk = &mut p.skips[k];
-            std::mem::swap(&mut sk.start, &mut sk.end);
-            format!("skip {k}: start/end swapped to [{}, {})", sk.start, sk.end)
-        });
-        let leaky: Vec<usize> = (0..program.skips.len())
-            .filter(|&k| skip_leak_applies(program, k))
-            .collect();
-        if !leaky.is_empty() {
-            let k = leaky[rng.pick(leaky.len())];
-            emit(MutationKind::SkipLeak, &|p: &mut Program| {
-                p.skips[k].end += 1;
-                format!(
-                    "skip {k}: end stretched to {} (swallowed value escapes)",
-                    p.skips[k].end
-                )
-            });
-        }
-        let k = rng.pick(program.skips.len());
-        emit(MutationKind::SkipCondOutOfBounds, &|p: &mut Program| {
-            p.skips[k].cond = n_regs + 5;
-            format!("skip {k}: condition -> r{} (out of bounds)", n_regs + 5)
-        });
-    }
-    if program.skips.len() >= 2 {
-        let key = |sk: &crate::compile::SkipRange| (sk.start, std::cmp::Reverse(sk.end));
-        let pairs: Vec<usize> = (1..program.skips.len())
-            .filter(|&k| key(&program.skips[k - 1]) != key(&program.skips[k]))
-            .collect();
-        if !pairs.is_empty() {
-            let k = pairs[rng.pick(pairs.len())];
-            emit(MutationKind::UnsortedSkips, &|p: &mut Program| {
-                p.skips.swap(k - 1, k);
-                format!("skips {} and {k} swapped out of order", k - 1)
-            });
-        }
-    }
     out
 }
 
@@ -381,8 +289,8 @@ mod tests {
     use fpcore::{RealOp, Symbol};
     use std::collections::HashSet;
 
-    /// A program with a select (hence skips), calls, constants, and several
-    /// instructions — applicable to most mutation kinds.
+    /// A program with a select, calls, constants, and several instructions
+    /// — applicable to most mutation kinds.
     fn rich_program() -> Program {
         fn host_exp(args: &[f64]) -> f64 {
             args[0].exp()

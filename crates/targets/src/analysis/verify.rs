@@ -11,16 +11,13 @@
 //!
 //! Two modes cover the IR's two lifecycle stages:
 //!
-//! * [`Mode::Ssa`] — fresh compiles: write-once
-//!   registers, strictly increasing destinations, and the full
-//!   register-level select-arm privacy check (the generalization of the
-//!   compiler's original ad-hoc skip analysis);
+//! * [`Mode::Ssa`] — fresh compiles: write-once registers and strictly
+//!   increasing destinations, on top of everything executable mode checks;
 //! * [`Mode::Executable`] — what every engine actually requires, without
 //!   assuming write-once: defined-before-use, `dst` strictly above operands
 //!   (the block engine's slab split), constants never overwritten, bounds.
-//!   Compacted programs verify in this mode; their skip soundness is a
-//!   value-flow property preserved by renaming (see
-//!   [`crate::analysis::compact`]) and asserted by the differential tests.
+//!   Compacted programs verify in this mode (see
+//!   [`crate::analysis::compact`]).
 //!
 //! [`verify_with_target`] adds the sweep/scalar pairing rules (a program's
 //! call instructions must agree with the target's registered operators), and
@@ -264,139 +261,6 @@ impl<'p> Check<'p> {
             );
         }
     }
-
-    /// Skip-range structure: in-bounds non-empty ranges, sorted outer-first,
-    /// properly nested or disjoint, conditions in bounds and defined before
-    /// the range starts.
-    fn check_skip_structure(&mut self) {
-        let n = self.program.instrs.len();
-        for (k, sk) in self.program.skips.iter().enumerate() {
-            if sk.start >= sk.end || sk.end as usize > n {
-                self.push(
-                    "skip-shape",
-                    Some(sk.start as usize),
-                    format!(
-                        "skip range {k} [{}, {}) is empty or out of bounds (program has {n} instructions)",
-                        sk.start, sk.end
-                    ),
-                );
-            }
-            if sk.cond >= self.n_regs() {
-                self.push(
-                    "skip-cond-bounds",
-                    Some(sk.start as usize),
-                    format!("skip range {k} condition register {} >= n_regs", sk.cond),
-                );
-            }
-        }
-        for pair in self.program.skips.windows(2) {
-            let (a, b) = (&pair[0], &pair[1]);
-            if (a.start, std::cmp::Reverse(a.end)) > (b.start, std::cmp::Reverse(b.end)) {
-                self.push(
-                    "skip-order",
-                    Some(b.start as usize),
-                    format!(
-                        "skip ranges [{}, {}) and [{}, {}) are not sorted outer-first",
-                        a.start, a.end, b.start, b.end
-                    ),
-                );
-            }
-        }
-        for (k, a) in self.program.skips.iter().enumerate() {
-            for b in &self.program.skips[k + 1..] {
-                let disjoint = a.end <= b.start || b.end <= a.start;
-                let nested = (a.start <= b.start && b.end <= a.end)
-                    || (b.start <= a.start && a.end <= b.end);
-                if !disjoint && !nested {
-                    self.push(
-                        "skip-overlap",
-                        Some(a.start as usize),
-                        format!(
-                            "skip ranges [{}, {}) and [{}, {}) partially overlap",
-                            a.start, a.end, b.start, b.end
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    /// The select-arm privacy invariant (SSA mode): skipping a range must be
-    /// unobservable on uniform masks. Nothing at or after the range end may
-    /// read a register the range defines — except the owning select reading
-    /// the arm's result through the operand position that is dead under the
-    /// range's `dead_when` mask — and the range must not define the program
-    /// result or its own condition.
-    ///
-    /// This is self-contained (it recovers the owning select from the
-    /// instruction stream rather than trusting compiler bookkeeping), which
-    /// is what lets it check hand-built and transformed programs too.
-    fn check_skip_privacy(&mut self) {
-        // Valid only under strictly increasing destinations; bail if that
-        // already failed (the violations are reported either way).
-        let dsts: Vec<u32> = self.program.instrs.iter().map(Instr::dst).collect();
-        if dsts.windows(2).any(|w| w[0] >= w[1]) {
-            return;
-        }
-        let def_in = |reg: u32, start: usize, end: usize| match dsts.binary_search(&reg) {
-            Ok(i) => i >= start && i < end,
-            Err(_) => false,
-        };
-        for (k, sk) in self.program.skips.iter().enumerate() {
-            let (start, end) = (sk.start as usize, sk.end as usize);
-            if start >= end || end > self.program.instrs.len() {
-                continue; // already reported by skip-shape
-            }
-            if def_in(self.program.result, start, end) {
-                self.push(
-                    "skip-result",
-                    Some(start),
-                    format!("skip range {k} defines the program result"),
-                );
-            }
-            if def_in(sk.cond, start, end) {
-                self.push(
-                    "skip-cond-private",
-                    Some(start),
-                    format!("skip range {k} defines its own condition register"),
-                );
-            }
-            for (j, instr) in self.program.instrs.iter().enumerate().skip(end) {
-                let mut leaked: Vec<u32> = Vec::new();
-                match *instr {
-                    Instr::Select { c, t, e, .. } => {
-                        // The dead-arm operand of the owning select is the
-                        // one read the skip may leave stale: its lanes are
-                        // discarded whenever the arm was skipped.
-                        let dead_arm = if sk.dead_when { e } else { t };
-                        for (pos, reg) in [c, t, e].into_iter().enumerate() {
-                            let exempt = c == sk.cond
-                                && reg == dead_arm
-                                && pos == usize::from(sk.dead_when) + 1;
-                            if def_in(reg, start, end) && !exempt {
-                                leaked.push(reg);
-                            }
-                        }
-                    }
-                    _ => instr.for_each_read(&self.program.arg_pool, |reg| {
-                        if def_in(reg, start, end) {
-                            leaked.push(reg);
-                        }
-                    }),
-                }
-                for reg in leaked {
-                    self.push(
-                        "skip-privacy",
-                        Some(j),
-                        format!(
-                            "register {reg} defined inside skip range {k} [{start}, {end}) \
-                             is read outside it"
-                        ),
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// Verifies every program invariant under `mode`, returning all violations
@@ -410,10 +274,6 @@ pub fn verify(program: &Program, mode: Mode) -> Vec<Violation> {
     };
     check.check_slots();
     check.check_instrs();
-    check.check_skip_structure();
-    if mode == Mode::Ssa {
-        check.check_skip_privacy();
-    }
     check.out
 }
 
@@ -632,7 +492,7 @@ pub fn assert_valid(program: &Program, target: Option<&Target>, mode: Mode) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{compile, SkipRange};
+    use crate::compile::compile;
     use crate::expr::FloatExpr;
     use crate::operator::Operator;
     use fpcore::FpType::Binary64;
@@ -686,38 +546,6 @@ mod tests {
         let violations = verify(&p, Mode::Ssa);
         assert!(
             violations.iter().any(|v| v.rule == "operand-order"),
-            "{violations:?}"
-        );
-    }
-
-    #[test]
-    fn privacy_leaks_are_caught() {
-        let mut p = sample_program();
-        assert!(
-            !p.skips.is_empty(),
-            "test program should have skippable arms"
-        );
-        // Stretch the first skip range to swallow the next instruction.
-        p.skips[0].end += 1;
-        let violations = verify(&p, Mode::Ssa);
-        assert!(
-            violations.iter().any(|v| v.rule.starts_with("skip-")),
-            "{violations:?}"
-        );
-    }
-
-    #[test]
-    fn skip_structure_rules() {
-        let mut p = sample_program();
-        p.skips.push(SkipRange {
-            start: 3,
-            end: 2,
-            cond: 0,
-            dead_when: false,
-        });
-        let violations = verify(&p, Mode::Ssa);
-        assert!(
-            violations.iter().any(|v| v.rule == "skip-shape"),
             "{violations:?}"
         );
     }

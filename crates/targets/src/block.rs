@@ -261,39 +261,7 @@ impl Program {
             }
         }
 
-        // Instruction loop with the uniform-mask select fast path: when the
-        // next instruction opens a select arm whose condition mask is
-        // uniformly dead for this block, jump straight past the arm — the
-        // compile-time privacy analysis proved nothing outside the range
-        // reads its registers, so the skip is bit-identical by construction.
-        let mut si = 0;
-        let mut i = 0;
-        while i < self.instrs.len() {
-            while si < self.skips.len() && (self.skips[si].start as usize) < i {
-                si += 1;
-            }
-            let mut jumped = false;
-            while si < self.skips.len() && self.skips[si].start as usize == i {
-                let sk = self.skips[si];
-                let c0 = sk.cond as usize * width;
-                let dead = regs.slab[c0..c0 + w]
-                    .iter()
-                    .all(|&c| (c != 0.0) == sk.dead_when);
-                if dead {
-                    i = sk.end as usize;
-                    while si < self.skips.len() && (self.skips[si].start as usize) < i {
-                        si += 1;
-                    }
-                    jumped = true;
-                    break;
-                }
-                si += 1;
-            }
-            if jumped {
-                continue;
-            }
-            let instr = &self.instrs[i];
-            i += 1;
+        for instr in &self.instrs {
             let dst = instr.dst() as usize;
             // SSA: operands were allocated before `dst`, so they all live in
             // the lower half of this split.
@@ -500,8 +468,9 @@ mod tests {
         let sub = target.find_operator("-.f64").unwrap();
         let sqrt = target.find_operator("sqrt.f64").unwrap();
         let add = target.find_operator("+.f64").unwrap();
+        let exp = target.find_operator("exp.f64").unwrap();
         let x = FloatExpr::Var(Symbol::new("x"), FpType::Binary64);
-        let expr = FloatExpr::Op(
+        let difference = FloatExpr::Op(
             sub,
             vec![
                 FloatExpr::Op(
@@ -511,27 +480,40 @@ mod tests {
                         vec![x.clone(), FloatExpr::literal(1.0, FpType::Binary64)],
                     )],
                 ),
-                FloatExpr::Op(sqrt, vec![x]),
+                FloatExpr::Op(sqrt, vec![x.clone()]),
             ],
+        );
+        // Both arms CSE to one register, so the select reads it through
+        // whichever operand the lane's condition picks.
+        let identical_arms = FloatExpr::If(
+            Box::new(FloatExpr::Cmp(
+                RealOp::Lt,
+                Box::new(x.clone()),
+                Box::new(FloatExpr::literal(0.0, FpType::Binary64)),
+            )),
+            Box::new(FloatExpr::Op(exp, vec![x.clone()])),
+            Box::new(FloatExpr::Op(exp, vec![x])),
         );
         let vars = [Symbol::new("x")];
         let rows: Vec<Vec<f64>> = (0..37)
             .map(|i| vec![10f64.powf(i as f64 / 3.0) - 2.0])
             .collect();
         let points = Columns::from_rows(1, &rows);
-        let program = crate::compile(&target, &expr);
-        let columns = program.bind_columns(&vars);
-        let mut scalar_regs = program.new_regs();
-        let scalar: Vec<u64> = rows
-            .iter()
-            .map(|p| program.eval_point(&columns, p, &mut scalar_regs).to_bits())
-            .collect();
-        for width in [1, 2, 3, 16, 37, 64] {
-            let mut regs = program.new_block_regs(width);
-            let mut out = vec![0.0; points.len()];
-            program.eval_range(&columns, &points, 0, &mut regs, &mut out);
-            let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(scalar, got, "width {width} diverged from the scalar engine");
+        for expr in [difference, identical_arms] {
+            let program = crate::compile(&target, &expr);
+            let columns = program.bind_columns(&vars);
+            let mut scalar_regs = program.new_regs();
+            let scalar: Vec<u64> = rows
+                .iter()
+                .map(|p| program.eval_point(&columns, p, &mut scalar_regs).to_bits())
+                .collect();
+            for width in [1, 2, 3, 16, 37, 64] {
+                let mut regs = program.new_block_regs(width);
+                let mut out = vec![0.0; points.len()];
+                program.eval_range(&columns, &points, 0, &mut regs, &mut out);
+                let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(scalar, got, "width {width} diverged from the scalar engine");
+            }
         }
     }
 
@@ -550,134 +532,6 @@ mod tests {
         let points = Columns::from_rows(1, &[vec![2.0], vec![3.0]]);
         let out = program.eval_columns(&[Symbol::new("x")], &points);
         assert!(out.iter().all(|v| v.is_nan()));
-    }
-
-    /// A native operator with an observable execution count, to prove the
-    /// uniform-mask fast path really skips dead select arms.
-    fn counted_exp(args: &[f64]) -> f64 {
-        use std::sync::atomic::Ordering;
-        SKIP_CALLS.fetch_add(1, Ordering::Relaxed);
-        args[0].exp()
-    }
-    static SKIP_CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-    #[test]
-    fn uniform_masks_skip_dead_select_arms() {
-        use crate::operator::Operator;
-        use std::sync::atomic::Ordering;
-        let t = crate::Target::new("t", "test").with_operators(vec![
-            Operator::emulated(
-                "*.f64",
-                &[FpType::Binary64; 2],
-                FpType::Binary64,
-                "(* a0 a1)",
-                1.0,
-            ),
-            Operator::native(
-                "cexp.f64",
-                &[FpType::Binary64],
-                FpType::Binary64,
-                "(exp a0)",
-                40.0,
-                counted_exp,
-            ),
-        ]);
-        let cexp = t.find_operator("cexp.f64").unwrap();
-        let mul = t.find_operator("*.f64").unwrap();
-        let x = FloatExpr::Var(Symbol::new("x"), FpType::Binary64);
-        // if (x < 0) { cexp(x) } else { x*x }
-        let expr = FloatExpr::If(
-            Box::new(FloatExpr::Cmp(
-                RealOp::Lt,
-                Box::new(x.clone()),
-                Box::new(FloatExpr::literal(0.0, FpType::Binary64)),
-            )),
-            Box::new(FloatExpr::Op(cexp, vec![x.clone()])),
-            Box::new(FloatExpr::Op(mul, vec![x.clone(), x])),
-        );
-        let program = crate::compile(&t, &expr);
-        assert_eq!(program.num_skippable_arms(), 2);
-        let vars = [Symbol::new("x")];
-        let columns = program.bind_columns(&vars);
-
-        // All-positive block: the condition mask is uniformly false, so the
-        // counted then-arm must not execute at all.
-        let pos = Columns::from_rows(1, &(1..9).map(|i| vec![i as f64]).collect::<Vec<_>>());
-        let mut regs = program.new_block_regs(8);
-        let mut out = vec![0.0; 8];
-        SKIP_CALLS.store(0, Ordering::Relaxed);
-        program.eval_range(&columns, &pos, 0, &mut regs, &mut out);
-        assert_eq!(
-            SKIP_CALLS.load(Ordering::Relaxed),
-            0,
-            "a dead then-arm must be skipped on a uniform mask"
-        );
-        for (i, &v) in out.iter().enumerate() {
-            let want = ((i + 1) as f64) * ((i + 1) as f64);
-            assert_eq!(v, want, "lane {i}");
-        }
-
-        // Mixed block: both arms run, results stay bit-identical to the
-        // scalar engine (which always executes both arms).
-        let rows: Vec<Vec<f64>> = (-4..4).map(|i| vec![i as f64 + 0.5]).collect();
-        let mixed = Columns::from_rows(1, &rows);
-        SKIP_CALLS.store(0, Ordering::Relaxed);
-        program.eval_range(&columns, &mixed, 0, &mut regs, &mut out);
-        assert!(
-            SKIP_CALLS.load(Ordering::Relaxed) > 0,
-            "mixed masks execute the arm"
-        );
-        let mut scalar_regs = program.new_regs();
-        for (row, &got) in rows.iter().zip(&out) {
-            let want = program.eval_point(&columns, row, &mut scalar_regs);
-            assert_eq!(
-                want.to_bits(),
-                got.to_bits(),
-                "mixed-mask divergence at {row:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn identical_arms_are_never_skipped() {
-        // Both arms CSE to the same register: the select reads it through
-        // its live operand whatever the mask, so skipping the "dead" arm
-        // would leave stale lanes. The compiler must record no skip range.
-        let target = builtin::by_name("c99").unwrap();
-        let exp = target.find_operator("exp.f64").unwrap();
-        let x = FloatExpr::Var(Symbol::new("x"), FpType::Binary64);
-        let expr = FloatExpr::If(
-            Box::new(FloatExpr::Cmp(
-                RealOp::Lt,
-                Box::new(x.clone()),
-                Box::new(FloatExpr::literal(0.0, FpType::Binary64)),
-            )),
-            Box::new(FloatExpr::Op(exp, vec![x.clone()])),
-            Box::new(FloatExpr::Op(exp, vec![x])),
-        );
-        let program = crate::compile(&target, &expr);
-        assert_eq!(program.num_skippable_arms(), 0);
-        let vars = [Symbol::new("x")];
-        let columns = program.bind_columns(&vars);
-        // Uniformly false mask first (all-positive block), then mixed: every
-        // lane must still match the scalar engine bit for bit.
-        let rows: Vec<Vec<f64>> = (1..9)
-            .map(|i| vec![i as f64 * 0.25])
-            .chain((-4..4).map(|i| vec![i as f64 + 0.5]))
-            .collect();
-        let points = Columns::from_rows(1, &rows);
-        let mut regs = program.new_block_regs(8);
-        let mut out = vec![0.0; rows.len()];
-        program.eval_range(&columns, &points, 0, &mut regs, &mut out);
-        let mut scalar_regs = program.new_regs();
-        for (row, &got) in rows.iter().zip(&out) {
-            let want = program.eval_point(&columns, row, &mut scalar_regs);
-            assert_eq!(
-                want.to_bits(),
-                got.to_bits(),
-                "identical-arm select diverged at {row:?}"
-            );
-        }
     }
 
     #[test]

@@ -149,23 +149,6 @@ impl Instr {
     }
 }
 
-/// A select arm's instruction range that the block evaluator may skip
-/// entirely when the block's condition mask is uniform: the skipped lanes'
-/// results were discarded by the select anyway, and compile-time analysis
-/// ([`Compiler::analyze_skips`]) has proven nothing outside the range reads
-/// the registers it writes, so skipping is bit-identical by construction.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SkipRange {
-    /// Instruction index range `[start, end)` holding the arm's computation.
-    pub start: u32,
-    pub end: u32,
-    /// The select's condition register.
-    pub cond: u32,
-    /// The arm is dead when every lane's condition truth equals this value
-    /// (then-arms die when all-false, else-arms when all-true).
-    pub dead_when: bool,
-}
-
 /// A compiled float program: a constant pool, a variable table, and a flat
 /// instruction sequence, all addressing one shared register file.
 ///
@@ -190,10 +173,6 @@ pub struct Program {
     /// Argument registers for [`Instr::Call`], stored out of line so `Instr`
     /// stays `Copy` and small.
     pub(crate) arg_pool: Vec<u32>,
-    /// Select arm ranges the block evaluator may skip on uniform condition
-    /// masks, sorted by `start` (outer ranges before inner at the same
-    /// start). Only arms that passed the privacy analysis appear here.
-    pub(crate) skips: Vec<SkipRange>,
     /// The register holding the program result.
     pub(crate) result: u32,
 }
@@ -209,13 +188,6 @@ impl Program {
     /// allocates `num_regs × block_width` doubles per worker).
     pub fn num_regs(&self) -> usize {
         self.n_regs
-    }
-
-    /// Number of select arms the block evaluator can skip when a block's
-    /// condition mask is uniform (arms whose registers provably leak nowhere
-    /// outside the arm).
-    pub fn num_skippable_arms(&self) -> usize {
-        self.skips.len()
     }
 
     /// The distinct variables the program reads, in first-use order.
@@ -332,29 +304,12 @@ enum CseKey {
     Call(usize, Vec<u32>),
 }
 
-/// A select arm recorded during compilation, before the privacy analysis
-/// decides whether the block evaluator may skip it.
-struct ArmCandidate {
-    /// Instruction index range `[start, end)` of the arm's fresh instructions.
-    start: usize,
-    end: usize,
-    /// The select's condition register.
-    cond: u32,
-    /// Mask truth value under which the arm is dead (see [`SkipRange`]).
-    dead_when: bool,
-    /// The arm's result register (the select is allowed to read it).
-    arm: u32,
-    /// Instruction index of the owning select.
-    select_idx: usize,
-}
-
 struct Compiler<'t> {
     target: &'t Target,
     consts: Vec<(u32, f64)>,
     vars: Vec<(u32, Symbol)>,
     instrs: Vec<Instr>,
     arg_pool: Vec<u32>,
-    arms: Vec<ArmCandidate>,
     cse: HashMap<CseKey, u32>,
     n_regs: u32,
 }
@@ -367,7 +322,6 @@ impl<'t> Compiler<'t> {
             vars: Vec::new(),
             instrs: Vec::new(),
             arg_pool: Vec::new(),
-            arms: Vec::new(),
             cse: HashMap::new(),
             n_regs: 0,
         }
@@ -436,51 +390,6 @@ impl<'t> Compiler<'t> {
         })
     }
 
-    /// Emits the select for a compiled conditional and records both arms'
-    /// fresh instruction ranges as skip candidates for the block evaluator.
-    /// `t_start ≤ t_end ≤ e_end` are the instruction counts observed before
-    /// the then-arm, between the arms, and after the else-arm.
-    fn select_with_arms(
-        &mut self,
-        cond: u32,
-        t_start: usize,
-        then: u32,
-        t_end: usize,
-        els: u32,
-        e_end: usize,
-    ) -> u32 {
-        let before = self.instrs.len();
-        let dst = self.select(cond, then, els);
-        // When both arms resolve (via CSE) to the same register, the select
-        // reads that register through its *live* operand whatever the mask,
-        // so neither arm is ever dead — and the privacy exception below
-        // could not tell the dead read from the live one. Record nothing.
-        if self.instrs.len() > before && then != els {
-            let select_idx = self.instrs.len() - 1;
-            if t_end > t_start {
-                self.arms.push(ArmCandidate {
-                    start: t_start,
-                    end: t_end,
-                    cond,
-                    dead_when: false,
-                    arm: then,
-                    select_idx,
-                });
-            }
-            if e_end > t_end {
-                self.arms.push(ArmCandidate {
-                    start: t_end,
-                    end: e_end,
-                    cond,
-                    dead_when: true,
-                    arm: els,
-                    select_idx,
-                });
-            }
-        }
-        dst
-    }
-
     /// Emits a real-operator application over already-compiled registers.
     fn real_op(&mut self, op: RealOp, args: &[u32]) -> u32 {
         match *args {
@@ -536,12 +445,9 @@ impl<'t> Compiler<'t> {
             }
             FloatExpr::If(c, t, e) => {
                 let cond = self.compile_float(c);
-                let t_start = self.instrs.len();
                 let then = self.compile_float(t);
-                let t_end = self.instrs.len();
                 let els = self.compile_float(e);
-                let e_end = self.instrs.len();
-                self.select_with_arms(cond, t_start, then, t_end, els, e_end)
+                self.select(cond, then, els)
             }
         }
     }
@@ -609,75 +515,20 @@ impl<'t> Compiler<'t> {
             }
             Expr::If(c, t, e) => {
                 let cond = self.inline_real(c, arg_regs);
-                let t_start = self.instrs.len();
                 let then = self.inline_real(t, arg_regs);
-                let t_end = self.instrs.len();
                 let els = self.inline_real(e, arg_regs);
-                let e_end = self.instrs.len();
-                self.select_with_arms(cond, t_start, then, t_end, els, e_end)
+                self.select(cond, then, els)
             }
         }
-    }
-
-    /// The privacy analysis behind the uniform-mask select fast path: an arm
-    /// range is skippable only if no instruction *outside* the range (and not
-    /// the program result) reads a register the range defines — the sole
-    /// exception being the owning select reading the arm's result, whose
-    /// lanes the uniform mask discards anyway. CSE can leak an arm's
-    /// subexpression to later consumers; those arms are conservatively kept.
-    fn analyze_skips(&self, result: u32) -> Vec<SkipRange> {
-        // Instruction destinations are strictly increasing (SSA with fresh
-        // registers), so "which instruction defines register r" is a binary
-        // search; a miss means r is a constant or variable slot.
-        let dsts: Vec<u32> = self.instrs.iter().map(Instr::dst).collect();
-        let def_in = |reg: u32, start: usize, end: usize| match dsts.binary_search(&reg) {
-            Ok(i) => i >= start && i < end,
-            Err(_) => false,
-        };
-        let mut skips: Vec<SkipRange> = Vec::new();
-        for cand in &self.arms {
-            if def_in(result, cand.start, cand.end) {
-                continue;
-            }
-            let mut private = true;
-            for (j, instr) in self.instrs.iter().enumerate().skip(cand.end) {
-                instr.for_each_read(&self.arg_pool, |reg| {
-                    if def_in(reg, cand.start, cand.end)
-                        && !(j == cand.select_idx && reg == cand.arm)
-                    {
-                        private = false;
-                    }
-                });
-                if !private {
-                    break;
-                }
-            }
-            if private {
-                skips.push(SkipRange {
-                    start: cand.start as u32,
-                    end: cand.end as u32,
-                    cond: cand.cond,
-                    dead_when: cand.dead_when,
-                });
-            }
-        }
-        // Outer ranges before inner ones at the same start, so a skipped
-        // outer arm jumps past everything it contains.
-        skips.sort_by(|a, b| {
-            (a.start, std::cmp::Reverse(a.end)).cmp(&(b.start, std::cmp::Reverse(b.end)))
-        });
-        skips
     }
 
     fn finish(self, result: u32) -> Program {
-        let skips = self.analyze_skips(result);
         Program {
             n_regs: self.n_regs as usize,
             consts: self.consts,
             vars: self.vars,
             instrs: self.instrs,
             arg_pool: self.arg_pool,
-            skips,
             result,
         }
     }
@@ -808,19 +659,37 @@ mod tests {
     #[test]
     fn conditionals_select_the_taken_branch() {
         let t = target();
+        let exp = t.find_operator("exp.f64").unwrap();
+        let mul = t.find_operator("*.f64").unwrap();
         let x = FloatExpr::Var(Symbol::new("x"), Binary64);
+        let cond = FloatExpr::Cmp(
+            RealOp::Lt,
+            Box::new(x.clone()),
+            Box::new(FloatExpr::literal(0.0, Binary64)),
+        );
         let prog = FloatExpr::If(
-            Box::new(FloatExpr::Cmp(
-                RealOp::Lt,
-                Box::new(x.clone()),
-                Box::new(FloatExpr::literal(0.0, Binary64)),
-            )),
+            Box::new(cond.clone()),
             Box::new(FloatExpr::literal(-1.0, Binary64)),
             Box::new(FloatExpr::literal(1.0, Binary64)),
+        );
+        // CSE shares the then-arm's exp(x) with a consumer outside the
+        // select, which reads it whichever way the branch goes.
+        let shared = FloatExpr::Op(exp, vec![x.clone()]);
+        let leaky = FloatExpr::Op(
+            mul,
+            vec![
+                FloatExpr::If(
+                    Box::new(cond),
+                    Box::new(shared.clone()),
+                    Box::new(FloatExpr::literal(1.0, Binary64)),
+                ),
+                shared,
+            ],
         );
         let vars = [Symbol::new("x")];
         let points: Vec<Vec<f64>> = vec![vec![-2.0], vec![2.0], vec![f64::NAN]];
         check_against_tree_walk(&t, &prog, &vars, &points);
+        check_against_tree_walk(&t, &leaky, &vars, &points);
     }
 
     #[test]
@@ -899,56 +768,6 @@ mod tests {
         assert_eq!(program.num_instrs(), 2, "one add (shared) and one mul");
         assert_eq!(program.variables(), vec![Symbol::new("x")]);
         check_against_tree_walk(&t, &prog, &[Symbol::new("x")], &[vec![3.0], vec![-1.5]]);
-    }
-
-    #[test]
-    fn select_arms_are_recorded_for_skipping() {
-        let t = target();
-        let exp = t.find_operator("exp.f64").unwrap();
-        let mul = t.find_operator("*.f64").unwrap();
-        let x = FloatExpr::Var(Symbol::new("x"), Binary64);
-        let cond = FloatExpr::Cmp(
-            RealOp::Lt,
-            Box::new(x.clone()),
-            Box::new(FloatExpr::literal(0.0, Binary64)),
-        );
-        // Both arms carry instructions and neither leaks: both skippable.
-        let prog = FloatExpr::If(
-            Box::new(cond.clone()),
-            Box::new(FloatExpr::Op(exp, vec![x.clone()])),
-            Box::new(FloatExpr::Op(mul, vec![x.clone(), x.clone()])),
-        );
-        let program = compile(&t, &prog);
-        assert_eq!(program.num_skippable_arms(), 2);
-
-        // CSE leak: the then-arm's exp(x) is also consumed outside the
-        // select, so skipping the arm would leave its register stale — the
-        // privacy analysis must reject it.
-        let shared = FloatExpr::Op(exp, vec![x.clone()]);
-        let leaky = FloatExpr::Op(
-            mul,
-            vec![
-                FloatExpr::If(
-                    Box::new(cond),
-                    Box::new(shared.clone()),
-                    Box::new(FloatExpr::literal(1.0, Binary64)),
-                ),
-                shared,
-            ],
-        );
-        let program = compile(&t, &leaky);
-        assert_eq!(
-            program.num_skippable_arms(),
-            0,
-            "a CSE-shared arm must not be skippable"
-        );
-        // Still bit-identical to the tree walk, leak or no leak.
-        check_against_tree_walk(
-            &t,
-            &leaky,
-            &[Symbol::new("x")],
-            &[vec![-2.0], vec![3.0], vec![f64::NAN]],
-        );
     }
 
     #[test]

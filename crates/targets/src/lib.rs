@@ -28,8 +28,8 @@
 //!   Python, Julia, NumPy, vdt, fdlibm,
 //! * [`analysis`] — the static-analysis layer over compiled programs: the IR
 //!   verifier (run after every compile in debug builds and corpus-wide in
-//!   CI), a dataflow framework hosting liveness and register compaction, and
-//!   the seeded mutation harness that tests the verifier itself.
+//!   CI), liveness and the register compaction it drives, and the seeded
+//!   mutation harness that tests the verifier itself.
 
 pub mod analysis;
 pub mod autotune;

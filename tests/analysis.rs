@@ -5,12 +5,14 @@
 //! change a computed value. These tests check that claim over the whole benchmark
 //! corpus on every builtin target, across all three engines — tree walk,
 //! scalar bytecode, SoA block execution — at block widths 1, 3, 64, and
-//! whole-batch (widths chosen to cross the skip-range fast path's uniformity
-//! boundaries). Comparisons go through [`semantic_bits`]: NaN sign/payload
-//! is unspecified by IEEE 754 and varies with vectorized codegen, so any NaN
-//! matches any NaN (see `tests/bytecode.rs` for the full rationale). They also exercise the verifier's two public jobs end to
-//! end: accepting every corpus program (fresh and optimized) and rejecting
-//! every seeded invariant-breaking mutant.
+//! whole-batch. No corpus benchmark contains an `if`, so these programs hold
+//! no `Select`; `tests/bytecode.rs` runs optimized random programs with
+//! selects on the block engine. Comparisons go through [`semantic_bits`]:
+//! NaN sign/payload is unspecified by IEEE 754 and varies with vectorized
+//! codegen, so any NaN matches any NaN (see `tests/bytecode.rs` for the full
+//! rationale). They also exercise the verifier's two public jobs end to end:
+//! accepting every corpus program (fresh and optimized) and rejecting every
+//! seeded invariant-breaking mutant.
 
 use chassis::lower_fpcore;
 use chassis::rng::Rng;

@@ -26,7 +26,7 @@
 use chassis::rng::Rng;
 use fpcore::eval::semantic_bits;
 use fpcore::{FpType, RealOp, Symbol};
-use targets::{builtin, eval_float_expr_in, Columns, FloatExpr, SliceEnv, Target};
+use targets::{analysis, builtin, eval_float_expr_in, Columns, FloatExpr, SliceEnv, Target};
 
 /// Input values that exercise every float class the evaluators can disagree
 /// on, plus a couple of benign magnitudes.
@@ -160,7 +160,10 @@ fn batch_and_single_point_entry_points_agree() {
 /// the tree walk at *every* block width. Exercise random programs over every
 /// builtin target on a batch whose length (67) is a multiple of none of the
 /// tested widths — so each width runs its ragged tail — with inputs that
-/// include NaN, infinities, signed zeros, and subnormals.
+/// include NaN, infinities, signed zeros, and subnormals. Each program runs
+/// both as compiled and after `analysis::optimize`, the form production
+/// evaluates: register compaction must stay bit-identical on programs with
+/// selects, which no corpus benchmark contains.
 #[test]
 fn block_engine_is_bit_identical_at_every_block_size() {
     const BATCH: usize = 67;
@@ -203,21 +206,25 @@ fn block_engine_is_bit_identical_at_every_block_size() {
                 })
                 .collect();
             // Block mode at degenerate (1), odd (3), default (64), and
-            // whole-batch widths.
-            for width in [1usize, 3, 64, BATCH] {
-                let mut block_regs = program.new_block_regs(width);
-                let mut out = vec![0.0; BATCH];
-                program.eval_range(&columns, &points, 0, &mut block_regs, &mut out);
-                for (i, (got, want)) in out.iter().zip(&reference).enumerate() {
-                    assert_eq!(
-                        semantic_bits(*got),
-                        *want,
-                        "block width {width} diverges on {} case {case} point {i} \
-                         ({:?}) for {}",
-                        target.name,
-                        rows[i],
-                        expr.render(&target)
-                    );
+            // whole-batch widths, for the compiled and the optimized form.
+            let (optimized, _) = analysis::optimize(&program);
+            for (form, program) in [("compiled", &program), ("optimized", &optimized)] {
+                let columns = program.bind_columns(&vars);
+                for width in [1usize, 3, 64, BATCH] {
+                    let mut block_regs = program.new_block_regs(width);
+                    let mut out = vec![0.0; BATCH];
+                    program.eval_range(&columns, &points, 0, &mut block_regs, &mut out);
+                    for (i, (got, want)) in out.iter().zip(&reference).enumerate() {
+                        assert_eq!(
+                            semantic_bits(*got),
+                            *want,
+                            "{form} program at block width {width} diverges on {} case \
+                             {case} point {i} ({:?}) for {}",
+                            target.name,
+                            rows[i],
+                            expr.render(&target)
+                        );
+                    }
                 }
             }
         }
