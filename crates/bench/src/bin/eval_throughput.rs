@@ -47,6 +47,7 @@
 
 use chassis::lower_fpcore;
 use chassis::rng::Rng;
+use chassis_bench::{parse_flags, parse_value};
 use fpcore::eval::semantic_bits;
 use std::time::{Duration, Instant};
 use targets::analysis::{self, Mode};
@@ -79,95 +80,88 @@ struct Options {
     out: String,
 }
 
+/// The flags [`Options::parse`] declares, each taking one value.
+const FLAGS: [&str; 9] = [
+    "--points",
+    "--repeats",
+    "--seed",
+    "--block-sizes",
+    "--min-speedup",
+    "--min-block-speedup",
+    "--min-target-pps",
+    "--min-target-rel",
+    "--out",
+];
+
 impl Options {
-    /// Strict parsing: this binary *is* a CI gate, so an unknown flag or an
-    /// unparsable value aborts (exit 2) instead of silently falling back to a
-    /// default that could leave the gate disabled.
-    fn from_args() -> Options {
-        let mut options = Options {
-            points: 2048,
-            repeats: 5,
-            seed: SEED,
-            block_sizes: vec![8, 64, 256, 0],
-            min_speedup: 0.0,
-            min_block_speedup: 0.0,
-            min_target_pps: Vec::new(),
-            min_target_rel: Vec::new(),
-            out: "BENCH_eval.json".to_owned(),
-        };
-        let usage = "usage: eval_throughput [--points N] [--repeats N] \
-                     [--seed N] [--block-sizes N,M,...] [--min-speedup X] \
-                     [--min-block-speedup X] [--min-target-pps name=PPS,...] \
-                     [--min-target-rel name=RATIO,...] [--out PATH]";
-        fn floors(list: &str, flag: &str, usage: &str) -> Vec<(String, f64)> {
+    /// Parses the arguments after the program name through the shared strict
+    /// loop ([`parse_flags`]): this binary *is* a CI gate, so an unknown flag
+    /// (the harness's `--limit`, `--full` and `--thorough` included), a
+    /// repeated one, or a missing or unparsable value is an error rather than
+    /// a silent default that could leave the gate disabled.
+    fn parse(args: &[String]) -> Result<Options, String> {
+        /// The value given for `flag`, one of [`FLAGS`].
+        fn get<'a>(values: &'a [Option<String>], flag: &str) -> Option<&'a str> {
+            let slot = FLAGS
+                .iter()
+                .position(|f| *f == flag)
+                .expect("a declared flag");
+            values[slot].as_deref()
+        }
+        /// The parsed value of `flag`, or `default` when it is absent.
+        fn or<T: std::str::FromStr>(
+            values: &[Option<String>],
+            flag: &str,
+            default: T,
+        ) -> Result<T, String> {
+            get(values, flag).map_or(Ok(default), |v| parse_value(flag, v))
+        }
+        /// The `name=value` entries of a comma-separated per-target floor list.
+        fn floors(values: &[Option<String>], flag: &str) -> Result<Vec<(String, f64)>, String> {
+            let Some(list) = get(values, flag) else {
+                return Ok(Vec::new());
+            };
             list.split(',')
                 .map(|entry| {
-                    let Some((name, value)) = entry.split_once('=') else {
-                        eprintln!("bad {flag} entry {entry:?}\n{usage}");
-                        std::process::exit(2);
-                    };
-                    let value: f64 = value.trim().parse().unwrap_or_else(|_| {
-                        eprintln!("bad number in {entry:?}\n{usage}");
-                        std::process::exit(2);
-                    });
-                    (name.trim().to_owned(), value)
+                    let (name, value) = entry
+                        .split_once('=')
+                        .ok_or_else(|| format!("bad {flag} entry {entry:?}"))?;
+                    Ok((name.trim().to_owned(), parse_value(flag, value.trim())?))
                 })
                 .collect()
         }
-        fn value<T: std::str::FromStr>(args: &[String], i: usize, usage: &str) -> T {
-            args.get(i + 1)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("bad or missing value for {}\n{usage}", args[i]);
-                    std::process::exit(2);
-                })
-        }
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--points" => options.points = value(&args, i, usage),
-                "--repeats" => options.repeats = value(&args, i, usage),
-                "--seed" => options.seed = value(&args, i, usage),
-                "--block-sizes" => {
-                    let list: String = value(&args, i, usage);
-                    options.block_sizes = list
-                        .split(',')
-                        .map(|tok| {
-                            tok.trim().parse().unwrap_or_else(|_| {
-                                eprintln!("bad block size {tok:?} in {list:?}\n{usage}");
-                                std::process::exit(2);
-                            })
-                        })
-                        .collect();
-                    if options.block_sizes.is_empty() {
-                        eprintln!("--block-sizes needs at least one size\n{usage}");
-                        std::process::exit(2);
-                    }
-                }
-                "--min-speedup" => options.min_speedup = value(&args, i, usage),
-                "--min-block-speedup" => options.min_block_speedup = value(&args, i, usage),
-                "--min-target-pps" => {
-                    let list: String = value(&args, i, usage);
-                    options
-                        .min_target_pps
-                        .extend(floors(&list, "--min-target-pps", usage));
-                }
-                "--min-target-rel" => {
-                    let list: String = value(&args, i, usage);
-                    options
-                        .min_target_rel
-                        .extend(floors(&list, "--min-target-rel", usage));
-                }
-                "--out" => options.out = value(&args, i, usage),
-                other => {
-                    eprintln!("unknown argument {other}\n{usage}");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        }
-        options
+        let values = parse_flags(args, &[], &FLAGS)?.values;
+        let block_sizes = match get(&values, "--block-sizes") {
+            Some(list) => list
+                .split(',')
+                .map(|size| parse_value("--block-sizes", size.trim()))
+                .collect::<Result<_, _>>()?,
+            None => vec![8, 64, 256, 0],
+        };
+        Ok(Options {
+            points: or(&values, "--points", 2048)?,
+            repeats: or(&values, "--repeats", 5)?,
+            seed: or(&values, "--seed", SEED)?,
+            block_sizes,
+            min_speedup: or(&values, "--min-speedup", 0.0)?,
+            min_block_speedup: or(&values, "--min-block-speedup", 0.0)?,
+            min_target_pps: floors(&values, "--min-target-pps")?,
+            min_target_rel: floors(&values, "--min-target-rel")?,
+            out: get(&values, "--out")
+                .unwrap_or("BENCH_eval.json")
+                .to_owned(),
+        })
+    }
+
+    /// [`Options::parse`] over the process arguments; on an error it prints
+    /// the error and a usage line, and exits with status 2.
+    fn from_args() -> Options {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Options::parse(&args).unwrap_or_else(|error| {
+            let flags: String = FLAGS.iter().map(|f| format!(" [{f} V]")).collect();
+            eprintln!("error: {error}\nusage: eval_throughput{flags}");
+            std::process::exit(2)
+        })
     }
 
     /// The width a swept size denotes for a batch of `points` (0 = whole batch).
@@ -917,6 +911,66 @@ fn main() {
                 std::process::exit(1);
             }
             println!("  {name}: {achieved:.2}x the libm kernel geomean (floor {ratio:.2}x) OK");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(list: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = list.iter().map(|s| (*s).to_owned()).collect();
+        Options::parse(&args)
+    }
+
+    #[test]
+    fn ci_flags_parse() {
+        let options = parse(&[
+            "--points",
+            "2048",
+            "--repeats",
+            "5",
+            "--block-sizes",
+            "8,64,256,0",
+            "--min-speedup",
+            "3.0",
+            "--min-block-speedup",
+            "1.0",
+            "--min-target-rel",
+            "c99=1.7,vdt=1.7",
+            "--out",
+            "out.json",
+        ])
+        .unwrap();
+        assert_eq!((options.points, options.repeats), (2048, 5));
+        assert_eq!(options.block_sizes, vec![8, 64, 256, 0]);
+        assert_eq!((options.min_speedup, options.min_block_speedup), (3.0, 1.0));
+        let rel = vec![("c99".to_owned(), 1.7), ("vdt".to_owned(), 1.7)];
+        assert_eq!(options.min_target_rel, rel);
+        assert!(options.min_target_pps.is_empty());
+        assert_eq!(options.out, "out.json");
+        let defaults = parse(&[]).unwrap();
+        assert_eq!((defaults.seed, defaults.min_speedup), (SEED, 0.0));
+    }
+
+    #[test]
+    fn bad_flags_are_errors() {
+        for bad in [
+            &["--min-speedpu", "3"][..],
+            &["--min-speedup"],
+            &["--min-speedup", "fast"],
+            &["--block-sizes", "8,x"],
+            &["--min-target-rel", "c99"],
+            &["--min-target-rel", "c99=high"],
+            // Harness flags this binary does not take.
+            &["--limit", "4"],
+            &["--full"],
+            &["--thorough"],
+            // A repeated floor must not silently keep only its last value.
+            &["--min-target-rel", "c99=1.7", "--min-target-rel", "vdt=1.7"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
         }
     }
 }

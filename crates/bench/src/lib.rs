@@ -101,45 +101,41 @@ impl Default for HarnessOptions {
 
 impl HarnessOptions {
     /// Parses the harness flags — `--limit N`, `--full`, `--thorough` and
-    /// `--seed N` — from `args`, the arguments after the program name.
-    /// `limit` is the calling binary's default benchmark count, kept when
-    /// neither `--limit` nor `--full` is given. `extra` declares the flags
-    /// the calling binary reads itself; each takes one value, returned in
-    /// declaration order (`None` when absent).
+    /// `--seed N` — from `args`, the arguments after the program name, with
+    /// [`parse_flags`]. `limit` is the calling binary's default benchmark
+    /// count, kept when neither `--limit` nor `--full` is given. `extra`
+    /// declares the flags the calling binary reads itself; each takes one
+    /// value, returned in declaration order (`None` when absent).
     ///
     /// # Errors
     ///
-    /// An unknown flag, a missing value, or a `--limit`/`--seed` value that
-    /// does not parse. Nothing falls back to a default: a mistyped flag must
-    /// not quietly disable a gate.
+    /// Any error of [`parse_flags`], `--full` with `--limit`, or a
+    /// `--limit`/`--seed` value that does not parse.
     pub fn parse(
         args: &[String],
         limit: usize,
         extra: &[&str],
     ) -> Result<(HarnessOptions, Vec<Option<String>>), String> {
+        const HARNESS: [&str; 2] = ["--limit", "--seed"];
+        let valued: Vec<&str> = HARNESS.iter().chain(extra).copied().collect();
+        let flags = parse_flags(args, &["--full", "--thorough"], &valued)?;
+        let (full, thorough) = (flags.switches[0], flags.switches[1]);
+        let (harness, extra) = flags.values.split_at(HARNESS.len());
         let mut options = HarnessOptions {
             limit,
-            ..HarnessOptions::default()
+            fast: !thorough,
+            seed: None,
         };
-        let mut values = vec![None; extra.len()];
-        let mut args = args.iter();
-        while let Some(flag) = args.next() {
-            let mut value = || {
-                args.next()
-                    .ok_or_else(|| format!("missing value for {flag}"))
-            };
-            match flag.as_str() {
-                "--full" => options.limit = usize::MAX,
-                "--thorough" => options.fast = false,
-                "--limit" => options.limit = parse_value(flag, value()?)?,
-                "--seed" => options.seed = Some(parse_value(flag, value()?)?),
-                other => match extra.iter().position(|e| *e == other) {
-                    Some(slot) => values[slot] = Some(value()?.clone()),
-                    None => return Err(format!("unknown flag {other:?}")),
-                },
-            }
+        match (full, &harness[0]) {
+            (true, Some(_)) => return Err("--full and --limit conflict".to_owned()),
+            (true, None) => options.limit = usize::MAX,
+            (false, Some(value)) => options.limit = parse_value("--limit", value)?,
+            (false, None) => {}
         }
-        Ok((options, values))
+        if let Some(value) = &harness[1] {
+            options.seed = Some(parse_value("--seed", value)?);
+        }
+        Ok((options, extra.to_vec()))
     }
 
     /// [`HarnessOptions::parse`] over the process arguments, for a binary
@@ -212,7 +208,55 @@ impl HarnessOptions {
     }
 }
 
-fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+/// The flags [`parse_flags`] found.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Flags {
+    /// Whether each declared switch was given, in declaration order.
+    pub switches: Vec<bool>,
+    /// Each declared valued flag's value, in declaration order (`None` when
+    /// absent).
+    pub values: Vec<Option<String>>,
+}
+
+/// The strict flag loop every gate binary's parser runs: `args` (the
+/// arguments after the program name) may hold only the declared `switches`,
+/// which take no value, and the declared `valued` flags, which take one.
+///
+/// # Errors
+///
+/// An undeclared flag, a valued flag without its value, or a flag given
+/// twice. Nothing falls back to a default or keeps only the last of two
+/// values: a mistyped or repeated flag must not quietly change a gate.
+pub fn parse_flags(args: &[String], switches: &[&str], valued: &[&str]) -> Result<Flags, String> {
+    let mut flags = Flags {
+        switches: vec![false; switches.len()],
+        values: vec![None; valued.len()],
+    };
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let seen = if let Some(slot) = switches.iter().position(|s| s == flag) {
+            std::mem::replace(&mut flags.switches[slot], true)
+        } else if let Some(slot) = valued.iter().position(|v| v == flag) {
+            let value = args
+                .next()
+                .ok_or_else(|| format!("missing value for {flag}"))?;
+            flags.values[slot].replace(value.clone()).is_some()
+        } else {
+            return Err(format!("unknown flag {flag:?}"));
+        };
+        if seen {
+            return Err(format!("{flag} given twice"));
+        }
+    }
+    Ok(flags)
+}
+
+/// Parses one flag's value.
+///
+/// # Errors
+///
+/// A value that does not parse as `T`, naming the flag.
+pub fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value
         .parse()
         .map_err(|_| format!("bad value {value:?} for {flag}"))
@@ -662,6 +706,24 @@ mod tests {
         assert!(HarnessOptions::parse(&args(&["--seed", "-1"]), 8, &[]).is_err());
         assert!(HarnessOptions::parse(&args(&["--seed"]), 8, &[]).is_err());
         assert!(HarnessOptions::parse(&args(&["--plans"]), 8, &["--plans"]).is_err());
+    }
+
+    #[test]
+    fn repeated_and_conflicting_flags_are_errors() {
+        let twice = ["--plans", "1", "--plans", "2"];
+        let error = HarnessOptions::parse(&args(&twice), 8, &["--plans"]).unwrap_err();
+        assert!(error.contains("--plans given twice"), "{error}");
+        assert!(HarnessOptions::parse(&args(&["--full", "--full"]), 8, &[]).is_err());
+        assert!(HarnessOptions::parse(&args(&["--seed", "1", "--seed", "1"]), 8, &[]).is_err());
+        assert!(HarnessOptions::parse(&args(&["--full", "--limit", "2"]), 8, &[]).is_err());
+    }
+
+    #[test]
+    fn flag_loop_returns_switches_and_values_in_declaration_order() {
+        let flags = parse_flags(&args(&["--b", "x", "--on"]), &["--on"], &["--a", "--b"]).unwrap();
+        assert_eq!(flags.switches, vec![true]);
+        assert_eq!(flags.values, vec![None, Some("x".to_owned())]);
+        assert!(parse_flags(&args(&["--on", "x"]), &["--on"], &[]).is_err());
     }
 
     #[test]

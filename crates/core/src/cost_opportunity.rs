@@ -7,14 +7,13 @@
 //! minus the cost reductions already available to its children, so a node is not
 //! credited for savings that belong to its arguments.
 
+use crate::isel::TargetRules;
 use crate::lang::{float_expr_to_rec, ChassisNode};
 use crate::local_error::ScoredSubexpr;
-use crate::rules;
 use crate::typed_extract::TypedExtractor;
-use egraph::{EGraph, Id, Rewrite, Runner, RunnerLimits};
+use egraph::{EGraph, Id, Runner, RunnerLimits};
 use fpcore::{FpType, Symbol};
 use std::collections::HashMap;
-use std::sync::OnceLock;
 use std::time::Duration;
 use targets::{program_cost, FloatExpr, Target};
 
@@ -67,10 +66,12 @@ fn collect_op_subexprs<'a>(
     }
 }
 
-/// Computes the cost opportunity of every operator subexpression of `candidate`.
+/// Computes the cost opportunity of every operator subexpression of `candidate`,
+/// saturating with [`TargetRules::simplification`] (built for `target`).
 /// Entries are sorted by decreasing opportunity.
 pub fn cost_opportunities(
     target: &Target,
+    rules: &TargetRules,
     candidate: &FloatExpr,
     var_types: &HashMap<Symbol, FpType>,
     config: CostOppConfig,
@@ -90,23 +91,13 @@ pub fn cost_opportunities(
         roots.push(egraph.add_expr(&rec));
     }
 
-    // Strength-reduction shapes whose real-number form grows slightly but whose
-    // lowered form does not (the paper's running example: x/y → x·rcp(y)).
-    static DIV_AS_MUL_RECIP: OnceLock<Rewrite<ChassisNode>> = OnceLock::new();
-    let mut rule_set = rules::simplifying_rules();
-    rule_set.extend(crate::isel::desugaring_rules(target));
-    rule_set.push(
-        DIV_AS_MUL_RECIP
-            .get_or_init(|| rules::rule("co-div-as-mul-recip", "(/ a b)", "(* a (/ 1 b))"))
-            .clone(),
-    );
     let limits = RunnerLimits {
         iter_limit: config.iter_limit,
         node_limit: config.node_limit,
         time_limit: config.time_limit,
         ..RunnerLimits::default()
     };
-    Runner::with_limits(limits).run(&mut egraph, &rule_set);
+    Runner::with_limits(limits).run(&mut egraph, rules.simplification());
 
     let extractor = TypedExtractor::new(&egraph, target, var_types);
 
@@ -169,7 +160,8 @@ mod tests {
         .unwrap();
         let prog = lower_fpcore(&core, &t).unwrap();
         let vars = variable_types(&core);
-        let scored = cost_opportunities(&t, &prog, &vars, CostOppConfig::default());
+        let rules = TargetRules::new(&t).unwrap();
+        let scored = cost_opportunities(&t, &rules, &prog, &vars, CostOppConfig::default());
         assert_eq!(scored.len(), 2);
         let div = scored
             .iter()
@@ -194,7 +186,8 @@ mod tests {
         let core = parse_fpcore("(FPCore (x y) (+ x y))").unwrap();
         let prog = lower_fpcore(&core, &t).unwrap();
         let vars = variable_types(&core);
-        let scored = cost_opportunities(&t, &prog, &vars, CostOppConfig::default());
+        let rules = TargetRules::new(&t).unwrap();
+        let scored = cost_opportunities(&t, &rules, &prog, &vars, CostOppConfig::default());
         assert_eq!(scored.len(), 1);
         assert_eq!(scored[0].score, 0.0);
     }

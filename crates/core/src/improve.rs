@@ -11,7 +11,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 use crate::accuracy;
 use crate::cost_opportunity::{cost_opportunities, CostOppConfig};
-use crate::isel::{InstructionSelector, IselConfig};
+use crate::isel::{InstructionSelector, IselConfig, TargetRules};
 use crate::local_error::{local_errors_cached, ScoredSubexpr};
 use crate::par;
 use crate::pareto::ParetoFrontier;
@@ -137,11 +137,13 @@ fn choose_subexpressions(
 
 /// Runs the iterative improvement loop starting from `initial`, returning the
 /// final Pareto frontier of candidates (scored on the training points).
+/// `rules` must have been built for `target`.
 ///
 /// Silent and unbounded; see [`improve_with`] for the session entry point
 /// with progress reporting and a budget.
 pub fn improve(
     target: &Target,
+    rules: &TargetRules,
     initial: FloatExpr,
     samples: &SampleSet,
     var_types: &HashMap<Symbol, FpType>,
@@ -149,6 +151,7 @@ pub fn improve(
 ) -> ParetoFrontier<Candidate> {
     improve_with(
         target,
+        rules,
         initial,
         samples,
         var_types,
@@ -190,13 +193,14 @@ pub fn improve(
 /// cut, trades determinism for latency only once it actually fires.
 pub fn improve_with(
     target: &Target,
+    rules: &TargetRules,
     initial: FloatExpr,
     samples: &SampleSet,
     var_types: &HashMap<Symbol, FpType>,
     config: &ImproveConfig,
     ctx: &SearchCtx,
 ) -> ParetoFrontier<Candidate> {
-    let selector = InstructionSelector::new(target, config.isel);
+    let selector = InstructionSelector::new(target, rules, config.isel);
     let mut frontier: ParetoFrontier<Candidate> = ParetoFrontier::new();
     let mut explored: HashSet<String> = HashSet::new();
     let truths = ctx
@@ -261,7 +265,7 @@ pub fn improve_with(
         let batches: Vec<(Vec<FloatExpr>, bool)> = par::par_map(&to_expand, |candidate| {
             let errors = local_errors_cached(target, &candidate.expr, samples, &truths);
             let opportunities =
-                cost_opportunities(target, &candidate.expr, var_types, config.cost_opp);
+                cost_opportunities(target, rules, &candidate.expr, var_types, config.cost_opp);
             let chosen =
                 choose_subexpressions(&errors, &opportunities, config.subexprs_per_candidate);
             // Fall back to the whole program when no subexpression stands out.
@@ -374,7 +378,15 @@ mod tests {
         let initial = lower_fpcore(&core, &t).unwrap();
         let samples = Sampler::new(42).sample(&core, 10, 4).unwrap();
         let vars = variable_types(&core);
-        let frontier = improve(&t, initial.clone(), &samples, &vars, &small_config());
+        let rules = TargetRules::new(&t).unwrap();
+        let frontier = improve(
+            &t,
+            &rules,
+            initial.clone(),
+            &samples,
+            &vars,
+            &small_config(),
+        );
         assert!(!frontier.is_empty());
         let initial_error = accuracy::evaluate_on_train(&t, &initial, &samples).0;
         let best_error = frontier.most_accurate().unwrap().1;
@@ -396,7 +408,15 @@ mod tests {
         let initial = lower_fpcore(&core, &t).unwrap();
         let samples = Sampler::new(3).sample(&core, 8, 4).unwrap();
         let vars = variable_types(&core);
-        let frontier = improve(&t, initial.clone(), &samples, &vars, &small_config());
+        let rules = TargetRules::new(&t).unwrap();
+        let frontier = improve(
+            &t,
+            &rules,
+            initial.clone(),
+            &samples,
+            &vars,
+            &small_config(),
+        );
         let initial_cost = program_cost(&t, &initial);
         let cheapest = frontier.cheapest().unwrap();
         assert!(

@@ -12,14 +12,16 @@
 //! denotes equivalence of real values; typed extraction then recovers well-typed
 //! floating-point programs.
 
-use crate::lang::{expr_to_rec, ChassisNode};
+use crate::compiler::CompileError;
+use crate::lang::{expr_to_rec, ChassisNode, Children};
 use crate::rules;
 use crate::typed_extract::TypedExtractor;
 use egraph::{EGraph, Id, Pattern, PatternNode, Rewrite, RunReport, Runner, RunnerLimits};
 use fpcore::{Expr, FpType, Symbol};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use std::time::Duration;
-use targets::operator::arg_symbol;
+use targets::operator::{arg_symbol, MAX_ARITY};
 use targets::{FloatExpr, Target};
 
 /// Resource limits for one instruction-selection run.
@@ -60,25 +62,35 @@ pub struct IselResult {
 /// The instruction selector for one target.
 pub struct InstructionSelector<'a> {
     target: &'a Target,
-    rules: Vec<Rewrite<ChassisNode>>,
+    rules: &'a [Rewrite<ChassisNode>],
     config: IselConfig,
 }
 
 /// Builds the desugaring rewrites for every operator of a target.
-pub fn desugaring_rules(target: &Target) -> Vec<Rewrite<ChassisNode>> {
+///
+/// # Errors
+///
+/// [`CompileError::Unsupported`] naming the first operator with more than
+/// [`MAX_ARITY`] arguments, which an e-node cannot hold
+/// (`targets::analysis::verify_target` reports it as `op-arity`).
+pub fn desugaring_rules(target: &Target) -> Result<Vec<Rewrite<ChassisNode>>, CompileError> {
     let mut out = Vec::new();
     for id in target.operator_ids() {
         let op = target.operator(id);
+        if op.arity() > MAX_ARITY {
+            return Err(CompileError::Unsupported(format!(
+                "operator {} takes {} arguments; instruction selection supports at most \
+                 {MAX_ARITY}",
+                op.name,
+                op.arity()
+            )));
+        }
+        let children: Children = (0..op.arity()).map(Id::from).collect();
         let lhs = rules::pattern_from_expr(&op.desugaring);
         // The float side: op applied to the desugaring's argument metavariables.
-        let mut nodes: Vec<PatternNode<ChassisNode>> = Vec::new();
-        let mut children = Vec::new();
-        for i in 0..op.arity() {
-            nodes.push(PatternNode::Var(egraph::PatVar::new(
-                arg_symbol(i).as_str(),
-            )));
-            children.push(Id::from(i));
-        }
+        let mut nodes: Vec<PatternNode<ChassisNode>> = (0..op.arity())
+            .map(|i| PatternNode::Var(egraph::PatVar::new(arg_symbol(i).as_str())))
+            .collect();
         nodes.push(PatternNode::ENode(ChassisNode::Float(id, children)));
         let rhs = Pattern::from_nodes(nodes);
         // Only emit the lowering direction when the desugaring actually mentions
@@ -97,37 +109,70 @@ pub fn desugaring_rules(target: &Target) -> Vec<Rewrite<ChassisNode>> {
         // The desugaring direction is always valid.
         out.push(Rewrite::new(format!("desugar-{}", op.name), rhs, lhs));
     }
-    out
+    Ok(out)
+}
+
+/// The rule sets one compile saturates with on one target.
+///
+/// A target's desugaring rules compile one pattern pair per operator (164
+/// patterns on `c99`), so a compile builds them once here and every
+/// instruction-selection run and cost-opportunity pass of that compile
+/// shares them (cloning a [`Rewrite`] only shares it).
+#[derive(Clone, Debug)]
+pub struct TargetRules {
+    selection: Vec<Rewrite<ChassisNode>>,
+    simplification: Vec<Rewrite<ChassisNode>>,
+}
+
+impl TargetRules {
+    /// Builds both rule sets for `target`.
+    ///
+    /// # Errors
+    ///
+    /// The error of [`desugaring_rules`].
+    pub fn new(target: &Target) -> Result<TargetRules, CompileError> {
+        // Strength-reduction shapes whose real-number form grows slightly but
+        // whose lowered form does not (the paper's running example:
+        // x/y → x·rcp(y)).
+        static DIV_AS_MUL_RECIP: OnceLock<Rewrite<ChassisNode>> = OnceLock::new();
+        let desugaring = desugaring_rules(target)?;
+        let mut selection = rules::full_rules();
+        selection.extend(desugaring.iter().cloned());
+        let mut simplification = rules::simplifying_rules();
+        simplification.extend(desugaring);
+        simplification.push(
+            DIV_AS_MUL_RECIP
+                .get_or_init(|| rules::rule("co-div-as-mul-recip", "(/ a b)", "(* a (/ 1 b))"))
+                .clone(),
+        );
+        Ok(TargetRules {
+            selection,
+            simplification,
+        })
+    }
+
+    /// Instruction selection's rules: the full mathematical rule set, then
+    /// the desugaring rules.
+    pub fn selection(&self) -> &[Rewrite<ChassisNode>] {
+        &self.selection
+    }
+
+    /// The cost-opportunity pass's rules: the simplifying subset, the
+    /// desugaring rules, then the division-as-reciprocal shape.
+    pub fn simplification(&self) -> &[Rewrite<ChassisNode>] {
+        &self.simplification
+    }
 }
 
 impl<'a> InstructionSelector<'a> {
-    /// Creates a selector for `target` with the full mathematical rule set plus
-    /// the target's desugaring rules.
-    pub fn new(target: &'a Target, config: IselConfig) -> Self {
-        let mut all_rules = rules::full_rules();
-        all_rules.extend(desugaring_rules(target));
+    /// Creates a selector for `target` that saturates with
+    /// [`TargetRules::selection`] (built for the same target).
+    pub fn new(target: &'a Target, rules: &'a TargetRules, config: IselConfig) -> Self {
         InstructionSelector {
             target,
-            rules: all_rules,
+            rules: rules.selection(),
             config,
         }
-    }
-
-    /// A selector that only uses the simplifying rule subset (for the
-    /// cost-opportunity analysis).
-    pub fn simplifying(target: &'a Target, config: IselConfig) -> Self {
-        let mut all_rules = rules::simplifying_rules();
-        all_rules.extend(desugaring_rules(target));
-        InstructionSelector {
-            target,
-            rules: all_rules,
-            config,
-        }
-    }
-
-    /// The number of rewrite rules in use.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
     }
 
     /// Runs instruction selection modulo equivalence on a real expression,
@@ -147,7 +192,7 @@ impl<'a> InstructionSelector<'a> {
             time_limit: self.config.time_limit,
             ..RunnerLimits::default()
         };
-        let report = Runner::with_limits(limits).run(&mut egraph, &self.rules);
+        let report = Runner::with_limits(limits).run(&mut egraph, self.rules);
 
         let extractor = TypedExtractor::new(&egraph, self.target, var_types);
         let mut best = HashMap::new();
@@ -187,7 +232,8 @@ mod tests {
 
     fn run_on(target_name: &str, src: &str, vars: &[&str]) -> (IselResult, targets::Target) {
         let target = builtin::by_name(target_name).unwrap();
-        let selector = InstructionSelector::new(&target, IselConfig::default());
+        let rules = TargetRules::new(&target).unwrap();
+        let selector = InstructionSelector::new(&target, &rules, IselConfig::default());
         let result = selector.run(
             &parse_expr(src).unwrap(),
             &var_types(vars),
@@ -232,7 +278,8 @@ mod tests {
     #[test]
     fn avx_uses_rcp_for_reciprocals_in_single_precision() {
         let target = builtin::by_name("avx").unwrap();
-        let selector = InstructionSelector::new(&target, IselConfig::default());
+        let rules = TargetRules::new(&target).unwrap();
+        let selector = InstructionSelector::new(&target, &rules, IselConfig::default());
         let vars: HashMap<Symbol, FpType> =
             [(Symbol::new("x"), FpType::Binary32)].into_iter().collect();
         let result = selector.run(&parse_expr("(/ 1 x)").unwrap(), &vars, FpType::Binary32);
@@ -298,7 +345,8 @@ mod tests {
             node_limit: 50,
             ..IselConfig::default()
         };
-        let selector = InstructionSelector::new(&target, config);
+        let rules = TargetRules::new(&target).unwrap();
+        let selector = InstructionSelector::new(&target, &rules, config);
         let result = selector.run(
             &parse_expr("(+ (* a b) (+ (* c d) (* e f)))").unwrap(),
             &var_types(&["a", "b", "c", "d", "e", "f"]),
@@ -311,7 +359,7 @@ mod tests {
     fn desugaring_rules_cover_every_operator() {
         for name in ["avx", "julia", "vdt"] {
             let target = builtin::by_name(name).unwrap();
-            let rules = desugaring_rules(&target);
+            let rules = desugaring_rules(&target).unwrap();
             // At least one rule per operator (the desugar direction always exists).
             assert!(rules.len() >= target.operators.len());
         }

@@ -13,7 +13,7 @@
 //! * [`simplifying_rules`] — the subset of identities that do not grow the AST,
 //!   used by the fast cost-opportunity analysis (Section 5.2).
 
-use crate::lang::ChassisNode;
+use crate::lang::{ChassisNode, Children};
 use egraph::{PatVar, Pattern, PatternNode, Rewrite};
 use fpcore::{parse_expr, Expr};
 use std::sync::OnceLock;
@@ -26,7 +26,7 @@ pub fn pattern_from_expr(expr: &Expr) -> Pattern<ChassisNode> {
             Expr::Num(c) => PatternNode::ENode(ChassisNode::Num(*c)),
             Expr::Var(v) => PatternNode::Var(PatVar::new(v.as_str())),
             Expr::Op(op, args) => {
-                let children: Vec<egraph::Id> = args.iter().map(|a| go(a, out)).collect();
+                let children: Children = args.iter().map(|a| go(a, out)).collect();
                 PatternNode::ENode(ChassisNode::Real(*op, children))
             }
             Expr::If(c, t, e) => {

@@ -474,19 +474,8 @@ pub struct TruthStats {
 }
 
 impl TruthStats {
-    /// The counters accumulated since an earlier snapshot of the same cache.
-    #[must_use]
-    pub fn since(&self, earlier: &TruthStats) -> TruthStats {
-        TruthStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            node_evals: self.node_evals - earlier.node_evals,
-            eval_time: self.eval_time.saturating_sub(earlier.eval_time),
-        }
-    }
-
-    /// Sums this and another stats record field-wise (the inverse of
-    /// [`since`](TruthStats::since); used for corpus-wide aggregation).
+    /// Sums this and another stats record field-wise (used for corpus-wide
+    /// aggregation).
     #[must_use]
     pub fn merged(&self, other: &TruthStats) -> TruthStats {
         TruthStats {
@@ -516,6 +505,46 @@ impl TruthStats {
 #[derive(Clone)]
 pub struct GroundTruthCache {
     inner: Arc<GroundTruthCacheInner>,
+    /// Where this handle also counts its own requests (see
+    /// [`GroundTruthCache::attributed`]); `None` for the cache itself.
+    requester: Option<Arc<TruthTally>>,
+}
+
+/// Atomic [`TruthStats`]: the counters one cache, or one job's requests to
+/// it, accumulate.
+#[derive(Default)]
+pub(crate) struct TruthTally {
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+    node_evals: AtomicU64,
+    eval_nanos: AtomicU64,
+}
+
+impl TruthTally {
+    /// Counts one request: a hit, or a miss whose sweep made `node_evals`
+    /// interval evaluations in `eval_nanos`.
+    fn record(&self, miss: Option<(u64, u64)>) {
+        match miss {
+            Some((node_evals, eval_nanos)) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.node_evals.fetch_add(node_evals, Ordering::Relaxed);
+                self.eval_nanos.fetch_add(eval_nanos, Ordering::Relaxed);
+            }
+            None => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The counters so far.
+    pub(crate) fn stats(&self) -> TruthStats {
+        TruthStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            node_evals: self.node_evals.load(Ordering::Relaxed),
+            eval_time: Duration::from_nanos(self.eval_nanos.load(Ordering::Relaxed)),
+        }
+    }
 }
 
 /// One memo slot: the first requester initializes it; concurrent requesters
@@ -533,10 +562,8 @@ struct GroundTruthCacheInner {
     vars: Vec<Symbol>,
     points: Columns,
     memo: Mutex<TruthMemo>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    node_evals: AtomicU64,
-    eval_nanos: AtomicU64,
+    /// Every request to the cache, from any handle.
+    totals: TruthTally,
 }
 
 impl GroundTruthCache {
@@ -548,11 +575,24 @@ impl GroundTruthCache {
                 vars,
                 points,
                 memo: Mutex::new(HashMap::new()),
-                hits: AtomicUsize::new(0),
-                misses: AtomicUsize::new(0),
-                node_evals: AtomicU64::new(0),
-                eval_nanos: AtomicU64::new(0),
+                totals: TruthTally::default(),
             }),
+            requester: None,
+        }
+    }
+
+    /// A handle on the same memo that also counts each of its requests (and
+    /// its clones' requests) into `tally`.
+    ///
+    /// Each request is counted once, by the handle that made it: a miss and
+    /// its sweep's work go to the requester that ran the sweep, and a
+    /// request that waited for another requester's sweep is a hit. So when
+    /// every request goes through such handles, their tallies sum to the
+    /// cache's totals, however the requests overlap in time.
+    pub(crate) fn attributed(&self, tally: Arc<TruthTally>) -> GroundTruthCache {
+        GroundTruthCache {
+            inner: Arc::clone(&self.inner),
+            requester: Some(tally),
         }
     }
 
@@ -594,21 +634,23 @@ impl GroundTruthCache {
                 }
             }
         };
-        let mut computed = false;
+        let mut miss = None;
         let truths = cell.get_or_init(|| {
-            computed = true;
-            Arc::new(self.sweep(expr, ty))
+            let (truths, work) = self.sweep(expr, ty);
+            miss = Some(work);
+            Arc::new(truths)
         });
-        if computed {
-            self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.inner.hits.fetch_add(1, Ordering::Relaxed);
+        self.inner.totals.record(miss);
+        if let Some(requester) = &self.requester {
+            requester.record(miss);
         }
         Arc::clone(truths)
     }
 
-    /// The precision-escalation sweep of `expr` over every cached point.
-    fn sweep(&self, expr: &Expr, ty: FpType) -> Vec<GroundTruth> {
+    /// The precision-escalation sweep of `expr` over every cached point,
+    /// with the interval node evaluations it made and its wall-clock
+    /// nanoseconds.
+    fn sweep(&self, expr: &Expr, ty: FpType) -> (Vec<GroundTruth>, (u64, u64)) {
         let inner = &*self.inner;
         let start = std::time::Instant::now();
         let outcomes = par::par_map_range(inner.points.len(), |i| {
@@ -621,32 +663,23 @@ impl GroundTruthCache {
             inner.evaluator.eval_counted(expr, &env, ty)
         });
         let evals = outcomes.iter().map(|&(_, evals)| evals).sum();
-        inner.node_evals.fetch_add(evals, Ordering::Relaxed);
         #[allow(clippy::cast_possible_truncation)]
-        inner
-            .eval_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        outcomes.into_iter().map(|(truth, _)| truth).collect()
+        let nanos = start.elapsed().as_nanos() as u64;
+        let truths = outcomes.into_iter().map(|(truth, _)| truth).collect();
+        (truths, (evals, nanos))
     }
 
     /// `(hits, misses)` so far — misses are actual Rival evaluations.
     pub fn stats(&self) -> (usize, usize) {
-        (
-            self.inner.hits.load(Ordering::Relaxed),
-            self.inner.misses.load(Ordering::Relaxed),
-        )
+        let stats = self.truth_stats();
+        (stats.hits, stats.misses)
     }
 
-    /// Full work counters, including interval node evaluations and total
-    /// in-sweep wall-clock.
+    /// Full work counters of every request to the cache, through any
+    /// handle, including interval node evaluations and total in-sweep
+    /// wall-clock.
     pub fn truth_stats(&self) -> TruthStats {
-        let inner = &*self.inner;
-        TruthStats {
-            hits: inner.hits.load(Ordering::Relaxed),
-            misses: inner.misses.load(Ordering::Relaxed),
-            node_evals: inner.node_evals.load(Ordering::Relaxed),
-            eval_time: Duration::from_nanos(inner.eval_nanos.load(Ordering::Relaxed)),
-        }
+        self.inner.totals.stats()
     }
 }
 

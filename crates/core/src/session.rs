@@ -37,11 +37,11 @@ use crate::compiler::{
     CompilationResult, CompileError, Config, ErrorKind, Implementation, JobPanic, ResourceLimit,
 };
 use crate::improve::{improve_with, Candidate};
-use crate::isel::InstructionSelector;
+use crate::isel::{InstructionSelector, TargetRules};
 use crate::lower::{lower_fpcore, variable_types, LowerError};
 use crate::par;
 use crate::regimes::infer_regimes_with;
-use crate::sample::{GroundTruthCache, SampleSet, Sampler};
+use crate::sample::{GroundTruthCache, SampleSet, Sampler, TruthStats, TruthTally};
 use fpcore::{FPCore, FpType, Symbol};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -206,8 +206,8 @@ pub enum Progress {
 /// The per-phase durations are wall-clock times of the phases reported
 /// through [`Progress::PhaseFinished`]; `saturation` and `candidates_scored`
 /// aggregate the improve loop's inner work across all worker threads (so
-/// under parallelism `saturation` can exceed `improve`); `truths` is the
-/// ground-truth cache's work delta attributable to this call.
+/// under parallelism `saturation` can exceed `improve`); `truths` counts the
+/// ground-truth requests this call made.
 #[derive(Clone, Copy, Default, PartialEq, Debug)]
 pub struct SearchStats {
     /// Wall-clock time of the lowering phase.
@@ -227,8 +227,10 @@ pub struct SearchStats {
     /// `compile` call's stats (a failed call returns `Err`, not stats);
     /// meaningful on the corpus-wide sum built by [`SearchStats::aggregate`].
     pub jobs_failed: usize,
-    /// Ground-truth cache work attributable to this call (shared caches
-    /// subtract a snapshot taken when the call began).
+    /// The ground-truth requests this call made: its hits, and its misses
+    /// with the work of the sweeps it ran. Each request to a shared cache
+    /// counts in exactly one call, so the calls' counts sum to the cache's
+    /// totals however concurrent calls overlap.
     pub truths: crate::sample::TruthStats,
 }
 
@@ -398,6 +400,8 @@ pub struct SearchCtx<'a> {
     cancel: Option<&'a CancelToken>,
     max_iterations: Option<usize>,
     truths: Option<GroundTruthCache>,
+    /// This call's requests to `truths`.
+    truth_tally: Arc<TruthTally>,
     /// Wall-clock nanoseconds spent inside instruction-selection saturation
     /// runs, summed across workers (hence atomic: the improve loop saturates
     /// candidate batches in parallel).
@@ -409,6 +413,7 @@ pub struct SearchCtx<'a> {
 impl<'a> SearchCtx<'a> {
     /// Starts the budget clock for one compile call.
     pub fn start(ctl: &SearchControl<'a>, truths: Option<GroundTruthCache>) -> SearchCtx<'a> {
+        let truth_tally = Arc::new(TruthTally::default());
         SearchCtx {
             progress: ctl.progress,
             // A cap too large for the clock (e.g. Duration::MAX as
@@ -419,7 +424,8 @@ impl<'a> SearchCtx<'a> {
                 .and_then(|d| Instant::now().checked_add(d)),
             cancel: ctl.cancel,
             max_iterations: ctl.budget.max_iterations,
-            truths,
+            truths: truths.map(|cache| cache.attributed(Arc::clone(&truth_tally))),
+            truth_tally,
             saturation_nanos: AtomicU64::new(0),
             candidates_scored: AtomicUsize::new(0),
         }
@@ -433,6 +439,7 @@ impl<'a> SearchCtx<'a> {
             cancel: None,
             max_iterations: None,
             truths: None,
+            truth_tally: Arc::default(),
             saturation_nanos: AtomicU64::new(0),
             candidates_scored: AtomicUsize::new(0),
         }
@@ -465,8 +472,14 @@ impl<'a> SearchCtx<'a> {
     }
 
     /// The session-shared Rival ground-truth cache, if compiling under one.
+    /// Its requests count toward [`SearchCtx::truth_stats`].
     pub fn truths(&self) -> Option<&GroundTruthCache> {
         self.truths.as_ref()
+    }
+
+    /// The ground-truth requests made through [`SearchCtx::truths`] so far.
+    pub fn truth_stats(&self) -> TruthStats {
+        self.truth_tally.stats()
     }
 
     /// Records wall-clock time spent in one instruction-selection saturation
@@ -552,9 +565,11 @@ impl Prepared {
     /// # Errors
     ///
     /// Returns [`CompileError::Unsupported`] when the expression cannot be
-    /// expressed with the target's operators at all. An exhausted budget is
-    /// not an error: the result holds the frontier found so far (at minimum
-    /// the initial program).
+    /// expressed with the target's operators at all, or when the target has
+    /// an operator with more arguments than instruction selection represents
+    /// (`op-arity` under `targets::analysis::verify_target`). An exhausted
+    /// budget is not an error: the result holds the frontier found so far (at
+    /// minimum the initial program).
     pub fn compile_with(
         &self,
         target: &Target,
@@ -569,16 +584,14 @@ impl Prepared {
             ctx.deadline = Some(Instant::now());
         }
         let ctx = ctx;
-        // The cache is shared by every compile of this preparation, so the
-        // delta is this call's attribution; under `compile_many` concurrent
-        // jobs overlap and the split between them is approximate.
-        let truths_before = inner.truths.truth_stats();
 
         ctx.emit(Progress::PhaseStarted {
             phase: Phase::Lowering,
         });
         let phase_started = Instant::now();
-        let initial = initial_program(target, &inner.core, &inner.config)?;
+        // Built once per compile: every saturation run below shares it.
+        let rules = TargetRules::new(target)?;
+        let initial = initial_program(target, &rules, &inner.core, &inner.config)?;
         let lowering_time = phase_started.elapsed();
         ctx.emit(Progress::PhaseFinished {
             phase: Phase::Lowering,
@@ -591,6 +604,7 @@ impl Prepared {
         let phase_started = Instant::now();
         let mut frontier = improve_with(
             target,
+            &rules,
             initial.clone(),
             &inner.samples,
             &inner.var_types,
@@ -710,7 +724,7 @@ impl Prepared {
             saturation: ctx.saturation_time(),
             candidates_scored: ctx.candidates_scored(),
             jobs_failed: 0,
-            truths: inner.truths.truth_stats().since(&truths_before),
+            truths: ctx.truth_stats(),
         };
         if ctx.cancelled() {
             ctx.emit(Progress::JobCancelled);
@@ -740,13 +754,14 @@ impl std::fmt::Debug for Prepared {
 /// targets that lack them only if an equivalent form exists).
 fn initial_program(
     target: &Target,
+    rules: &TargetRules,
     core: &FPCore,
     config: &Config,
 ) -> Result<FloatExpr, CompileError> {
     match lower_fpcore(core, target) {
         Ok(prog) => Ok(prog),
         Err(LowerError::UnsupportedOperator(op, ty)) => {
-            let selector = InstructionSelector::new(target, config.improve.isel);
+            let selector = InstructionSelector::new(target, rules, config.improve.isel);
             let vars = variable_types(core);
             let result = selector.run(&core.body, &vars, core.precision);
             if let Some(best) = result.best.get(&core.precision) {
@@ -1026,5 +1041,74 @@ impl std::fmt::Debug for Session {
             .field("config", &self.config)
             .field("prepared", &self.prepare_count())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use fpcore::parse_fpcore;
+    use std::sync::Barrier;
+    use targets::{builtin, Operator};
+
+    fn cancellation() -> FPCore {
+        parse_fpcore("(FPCore (x) :pre (and (> x 1) (< x 1e14)) (- (sqrt (+ x 1)) (sqrt x)))")
+            .unwrap()
+    }
+
+    #[test]
+    fn overlapping_compiles_split_the_truth_work_between_them() {
+        // Two targets of one preparation, compiled on two threads released
+        // together, share one ground-truth cache and race for its entries.
+        // Each request must count in exactly one result.
+        let prepared = Session::new(Config::fast())
+            .prepare(&cancellation())
+            .unwrap();
+        let targets = ["c99", "arith-fma"].map(|name| builtin::by_name(name).unwrap());
+        let barrier = Barrier::new(targets.len());
+        let results: Vec<CompilationResult> = std::thread::scope(|scope| {
+            let jobs: Vec<_> = targets
+                .iter()
+                .map(|target| {
+                    let (prepared, barrier) = (&prepared, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        prepared.compile(target).unwrap()
+                    })
+                })
+                .collect();
+            jobs.into_iter().map(|job| job.join().unwrap()).collect()
+        });
+        let summed = results[0].stats.truths.merged(&results[1].stats.truths);
+        let totals = prepared.inner.truths.truth_stats();
+        assert!(totals.misses > 0, "the compiles ran no ground truth");
+        assert_eq!(summed, totals);
+    }
+
+    #[test]
+    fn a_target_wider_than_an_e_node_is_unsupported_not_a_panic() {
+        let mut target = builtin::by_name("arith").unwrap();
+        target.add_operator(Operator::emulated(
+            "sum4.f64",
+            &[FpType::Binary64; 4],
+            FpType::Binary64,
+            "(+ (+ a0 a1) (+ a2 a3))",
+            3.0,
+        ));
+        let violations = targets::analysis::verify_target(&target);
+        assert!(
+            violations.iter().any(|v| v.rule == "op-arity"),
+            "{violations:?}"
+        );
+        let session = Session::new(Config::fast());
+        let core = cancellation();
+        let unsupported = |outcome: &Result<CompilationResult, CompileError>| match outcome {
+            Err(CompileError::Unsupported(what)) => what.contains("sum4.f64"),
+            _ => false,
+        };
+        assert!(unsupported(&session.compile(&core, &target)));
+        let grid = session.compile_many(&[core], &[target]);
+        assert!(unsupported(&grid[0][0]), "{:?}", grid[0][0].as_ref().err());
     }
 }

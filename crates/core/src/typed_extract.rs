@@ -16,18 +16,35 @@ use std::collections::HashMap;
 use targets::{FloatExpr, Target};
 
 /// Per-(e-class, type) best cost and representative node.
-#[derive(Clone, Debug)]
-struct Best {
+#[derive(Clone, Copy, Debug)]
+struct Best<'a> {
     cost: f64,
-    node: ChassisNode,
+    node: &'a ChassisNode,
 }
+
+/// One slot per [`FpType`], in declaration order.
+const TYPES: usize = 3;
+
+fn slot(ty: FpType) -> usize {
+    match ty {
+        FpType::Binary32 => 0,
+        FpType::Binary64 => 1,
+        FpType::Bool => 2,
+    }
+}
+
+/// The types an e-node can be extracted at, with their total costs: at most
+/// two, since only a literal has more than one.
+type NodeCosts = std::iter::Take<std::array::IntoIter<(FpType, f64), 2>>;
 
 /// The typed extractor.
 pub struct TypedExtractor<'a> {
     egraph: &'a EGraph<ChassisNode>,
     target: &'a Target,
     var_types: &'a HashMap<Symbol, FpType>,
-    best: HashMap<(Id, FpType), Best>,
+    /// Indexed by canonical class id, then by [`slot`]: a dense table, so
+    /// the fixed-point passes neither hash nor allocate.
+    best: Vec<[Option<Best<'a>>; TYPES]>,
 }
 
 impl<'a> TypedExtractor<'a> {
@@ -41,35 +58,32 @@ impl<'a> TypedExtractor<'a> {
         target: &'a Target,
         var_types: &'a HashMap<Symbol, FpType>,
     ) -> Self {
+        let ids = egraph
+            .classes()
+            .map(|c| c.id.index() + 1)
+            .max()
+            .unwrap_or(0);
         let mut extractor = TypedExtractor {
             egraph,
             target,
             var_types,
-            best: HashMap::new(),
+            best: vec![[None; TYPES]; ids],
         };
         extractor.compute();
         extractor
     }
 
     fn compute(&mut self) {
+        let egraph = self.egraph;
         loop {
             let mut changed = false;
-            for class in self.egraph.classes() {
-                let id = self.egraph.find(class.id);
+            for class in egraph.classes() {
+                let id = egraph.find(class.id);
                 for node in &class.nodes {
                     for (ty, cost) in self.node_costs(node) {
-                        let better = match self.best.get(&(id, ty)) {
-                            None => true,
-                            Some(b) => cost < b.cost,
-                        };
-                        if better {
-                            self.best.insert(
-                                (id, ty),
-                                Best {
-                                    cost,
-                                    node: node.clone(),
-                                },
-                            );
+                        let best = &mut self.best[id.index()][slot(ty)];
+                        if best.is_none_or(|b| cost < b.cost) {
+                            *best = Some(Best { cost, node });
                             changed = true;
                         }
                     }
@@ -81,43 +95,48 @@ impl<'a> TypedExtractor<'a> {
         }
     }
 
+    /// The best entry for the class of `id` at type `ty`.
+    fn best(&self, id: Id, ty: FpType) -> Option<Best<'a>> {
+        self.best[self.egraph.find(id).index()][slot(ty)]
+    }
+
     /// The types at which this e-node can be extracted, with the corresponding
     /// total costs. Real operators and conditionals produce nothing.
-    fn node_costs(&self, node: &ChassisNode) -> Vec<(FpType, f64)> {
-        match node {
-            ChassisNode::Num(_) => FpType::numeric()
-                .into_iter()
-                .map(|ty| (ty, self.target.literal_cost))
-                .collect(),
+    fn node_costs(&self, node: &ChassisNode) -> NodeCosts {
+        const NONE: (FpType, f64) = (FpType::Binary64, 0.0);
+        let (costs, len) = match node {
+            ChassisNode::Num(_) => (
+                FpType::numeric().map(|ty| (ty, self.target.literal_cost)),
+                2,
+            ),
             ChassisNode::Var(v) => match self.var_types.get(v) {
-                Some(ty) => vec![(*ty, self.target.variable_cost)],
-                None => vec![],
+                Some(ty) => ([(*ty, self.target.variable_cost), NONE], 1),
+                None => ([NONE; 2], 0),
             },
             ChassisNode::Float(op_id, children) => {
                 let op = self.target.operator(*op_id);
                 let mut total = op.cost;
                 for (child, ty) in children.iter().zip(&op.arg_types) {
-                    match self.best.get(&(self.egraph.find(*child), *ty)) {
+                    match self.best(*child, *ty) {
                         Some(b) => total += b.cost,
-                        None => return vec![],
+                        None => return [NONE; 2].into_iter().take(0),
                     }
                 }
-                vec![(op.ret_type, total)]
+                ([(op.ret_type, total), NONE], 1)
             }
-            ChassisNode::Real(_, _) | ChassisNode::If(_) => vec![],
-        }
+            ChassisNode::Real(_, _) | ChassisNode::If(_) => ([NONE; 2], 0),
+        };
+        costs.into_iter().take(len)
     }
 
     /// The lowest cost at which the class of `id` can be extracted at type `ty`.
     pub fn best_cost(&self, id: Id, ty: FpType) -> Option<f64> {
-        self.best.get(&(self.egraph.find(id), ty)).map(|b| b.cost)
+        self.best(id, ty).map(|b| b.cost)
     }
 
     /// Extracts the lowest-cost program of type `ty` from the class of `id`.
     pub fn extract_best(&self, id: Id, ty: FpType) -> Option<FloatExpr> {
-        let id = self.egraph.find(id);
-        let best = self.best.get(&(id, ty))?;
-        self.build(&best.node, ty)
+        self.build(self.best(id, ty)?.node, ty)
     }
 
     /// Multi-extraction: one candidate per appropriately-typed e-node in the
@@ -128,10 +147,7 @@ impl<'a> TypedExtractor<'a> {
         let mut seen = Vec::new();
         let mut out = Vec::new();
         for node in &self.egraph.class(id).nodes {
-            let usable = self
-                .node_costs(node)
-                .iter()
-                .any(|(node_ty, _)| *node_ty == ty);
+            let usable = self.node_costs(node).any(|(node_ty, _)| node_ty == ty);
             if !usable {
                 continue;
             }
@@ -163,8 +179,8 @@ impl<'a> TypedExtractor<'a> {
                 }
                 let mut args = Vec::with_capacity(children.len());
                 for (child, arg_ty) in children.iter().zip(&op.arg_types) {
-                    let best = self.best.get(&(self.egraph.find(*child), *arg_ty))?;
-                    args.push(self.build(&best.node, *arg_ty)?);
+                    let best = self.best(*child, *arg_ty)?;
+                    args.push(self.build(best.node, *arg_ty)?);
                 }
                 Some(FloatExpr::Op(*op_id, args))
             }
@@ -206,7 +222,7 @@ mod tests {
         let mut eg = EG::default();
         let x = eg.add(ChassisNode::Var(Symbol::new("x")));
         let one = eg.add(ChassisNode::Num(fpcore::Constant::integer(1)));
-        let sum = eg.add(ChassisNode::Float(add, vec![x, one]));
+        let sum = eg.add(ChassisNode::Float(add, [x, one].into()));
         let vars = var_types(&[("x", FpType::Binary64)]);
         let ex = TypedExtractor::new(&eg, &t, &vars);
         let cost = ex.best_cost(sum, FpType::Binary64).unwrap();
@@ -229,8 +245,8 @@ mod tests {
         let mut eg = EG::default();
         let one = eg.add(ChassisNode::Num(fpcore::Constant::integer(1)));
         let x = eg.add(ChassisNode::Var(Symbol::new("x")));
-        let division = eg.add(ChassisNode::Float(div32, vec![one, x]));
-        let reciprocal = eg.add(ChassisNode::Float(rcp, vec![x]));
+        let division = eg.add(ChassisNode::Float(div32, [one, x].into()));
+        let reciprocal = eg.add(ChassisNode::Float(rcp, [x].into()));
         eg.union(division, reciprocal);
         eg.rebuild();
         let vars = var_types(&[("x", FpType::Binary32)]);
@@ -251,8 +267,8 @@ mod tests {
         let rcp = t.find_operator("rcp.f32").unwrap();
         let mut eg = EG::default();
         let x = eg.add(ChassisNode::Var(Symbol::new("x")));
-        let xf32 = eg.add(ChassisNode::Float(cast32, vec![x]));
-        let r = eg.add(ChassisNode::Float(rcp, vec![xf32]));
+        let xf32 = eg.add(ChassisNode::Float(cast32, [x].into()));
+        let r = eg.add(ChassisNode::Float(rcp, [xf32].into()));
         let vars = var_types(&[("x", FpType::Binary64)]);
         let ex = TypedExtractor::new(&eg, &t, &vars);
         let best = ex.extract_best(r, FpType::Binary32).unwrap();
@@ -260,7 +276,7 @@ mod tests {
         // Without the cast node, a direct use would be ill-typed.
         let mut eg2 = EG::default();
         let x2 = eg2.add(ChassisNode::Var(Symbol::new("x")));
-        let r2 = eg2.add(ChassisNode::Float(rcp, vec![x2]));
+        let r2 = eg2.add(ChassisNode::Float(rcp, [x2].into()));
         let ex2 = TypedExtractor::new(&eg2, &t, &vars);
         assert!(ex2.extract_best(r2, FpType::Binary32).is_none());
     }
@@ -272,7 +288,7 @@ mod tests {
         let mut eg = EG::default();
         let x = eg.add(ChassisNode::Var(Symbol::new("x")));
         let zero = eg.add(ChassisNode::Num(fpcore::Constant::integer(0)));
-        let sum = eg.add(ChassisNode::Float(add, vec![x, zero]));
+        let sum = eg.add(ChassisNode::Float(add, [x, zero].into()));
         eg.union(sum, x);
         eg.rebuild();
         let vars = var_types(&[("x", FpType::Binary64)]);

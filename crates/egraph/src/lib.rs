@@ -38,6 +38,21 @@
 //! results, which belongs with a change of scheduler rather than in an
 //! engine whose output is pinned bit for bit.
 //!
+//! # Keeping children inline
+//!
+//! The engine copies e-nodes constantly: [`EGraph::add`] stores a new node
+//! in its class and in the hash-cons memo, every [`EGraph::rebuild`] sweep
+//! re-keys the memo with every node, the [`OpIndex`] keys each node with its
+//! children zeroed once per iteration, and each instantiated right-hand side
+//! builds its nodes afresh. A [`Language`] whose nodes hold their children
+//! inline — `[Id; N]` for a fixed arity, or a small array and a length for
+//! operators of varying arity — makes each of those copies a few words'
+//! memcpy. Children in a `Vec<Id>` make each a heap allocation. Moving
+//! Chassis's e-nodes to inline children, in one step with an allocation-free
+//! empty search and a dense extraction table, cut the corpus's saturation
+//! time by about a quarter. The trait does not require inline children,
+//! since [`Language::children`] is a slice either way.
+//!
 //! # Example
 //!
 //! ```

@@ -112,9 +112,14 @@ impl<L: Language> Pattern<L> {
     /// are then exactly the first `limit` of the unlimited search.
     ///
     /// `index` must have been built from `egraph` since its last change.
+    /// When no class holds the root operator, as for most rules in most
+    /// iterations, the search returns at once without allocating.
     pub fn search(&self, egraph: &EGraph<L>, index: &OpIndex<L>, limit: usize) -> Matches {
         match &self.root_op {
-            Some(op) => self.search_classes(egraph, index.classes(op).iter().copied(), limit),
+            Some(op) => match index.classes(op) {
+                [] => Matches::none(self.vars.len()),
+                classes => self.search_classes(egraph, classes.iter().copied(), limit),
+            },
             None => self.search_classes(egraph, egraph.classes().map(|c| c.id), limit),
         }
     }
@@ -138,10 +143,7 @@ impl<L: Language> Pattern<L> {
             egraph,
             subst: vec![UNBOUND; self.vars.len()],
             pending: Vec::new(),
-            matches: Matches {
-                width: 1 + self.vars.len(),
-                ids: Vec::new(),
-            },
+            matches: Matches::none(self.vars.len()),
             limit,
             root: UNBOUND,
         };
@@ -210,6 +212,14 @@ pub struct Matches {
 }
 
 impl Matches {
+    /// No matches of a pattern with `vars` variable slots.
+    fn none(vars: usize) -> Matches {
+        Matches {
+            width: 1 + vars,
+            ids: Vec::new(),
+        }
+    }
+
     /// Number of matches.
     pub fn len(&self) -> usize {
         self.ids.len() / self.width

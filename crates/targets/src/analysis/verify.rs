@@ -24,7 +24,7 @@
 //! [`verify_target`] checks a target description itself.
 
 use crate::compile::{Instr, Program, MAX_CALL_ARITY};
-use crate::operator::{arg_symbol, Impl, SweepImpl};
+use crate::operator::{arg_symbol, Impl, SweepImpl, MAX_ARITY};
 use crate::target::Target;
 use fpcore::Expr;
 use std::fmt;
@@ -392,9 +392,13 @@ fn free_vars(expr: &Expr, out: &mut Vec<fpcore::Symbol>) {
     }
 }
 
+// The arity rule below is the only bound on native calls' width.
+const _: () = assert!(MAX_ARITY <= MAX_CALL_ARITY);
+
 /// Verifies a target description: unique operator names, sweep forms only on
-/// native operators and matching their arity, native arities within the
-/// evaluator's limit, and desugarings referencing only the positional
+/// native operators and matching their arity, arities within [`MAX_ARITY`]
+/// (the e-node width of instruction selection, which also keeps native calls
+/// within the evaluator's limit), and desugarings referencing only the positional
 /// argument symbols (`a0..a{arity-1}`) — any other free symbol would load
 /// NaN at every point, which is invariably a typo in a target description.
 pub fn verify_target(target: &Target) -> Vec<Violation> {
@@ -442,11 +446,11 @@ pub fn verify_target(target: &Target) -> Vec<Violation> {
             }
             _ => {}
         }
-        if op.is_linked() && op.arity() > MAX_CALL_ARITY {
+        if op.arity() > MAX_ARITY {
             push(
                 "op-arity",
                 format!(
-                    "native operator {} of target {} has arity {} > {MAX_CALL_ARITY}",
+                    "operator {} of target {} has arity {} > {MAX_ARITY}",
                     op.name,
                     target.name,
                     op.arity()
@@ -581,6 +585,22 @@ mod tests {
         ));
         let violations = verify_target(&t);
         assert!(violations.iter().any(|v| v.rule == "desugaring-args"));
+    }
+
+    #[test]
+    fn operators_wider_than_an_e_node_are_a_target_violation() {
+        let mut t = target();
+        t.operators.push(Operator::emulated(
+            "sum4.f64",
+            &[Binary64; 4],
+            Binary64,
+            "(+ (+ a0 a1) (+ a2 a3))",
+            3.0,
+        ));
+        let violations = verify_target(&t);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].rule, "op-arity");
+        assert!(violations[0].message.contains("sum4.f64"));
     }
 
     #[test]

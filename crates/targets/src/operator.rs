@@ -8,6 +8,14 @@
 use fpcore::{parse_expr, Expr, FpType, Symbol};
 use std::fmt;
 
+/// The most arguments an operator may take.
+///
+/// Instruction selection keeps an e-node's children inline, in room for
+/// this many ids, which covers every real operator (`fma` takes three).
+/// [`crate::analysis::verify_target`] reports a wider operator as
+/// `op-arity`, and a compile for such a target fails as unsupported.
+pub const MAX_ARITY: usize = 3;
+
 /// Index of an operator within its [`crate::Target`]'s operator table.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct OpId(pub u32);

@@ -14,10 +14,10 @@
 //! fails here before it reaches a frontier. No run may stop on its wall-clock
 //! cap, so neither digest depends on machine speed.
 
-use chassis::isel::{desugaring_rules, InstructionSelector};
+use chassis::isel::{InstructionSelector, TargetRules};
 use chassis::lang::expr_to_rec;
 use chassis::lower::variable_types;
-use chassis::{rules, Config};
+use chassis::Config;
 use egraph::{EGraph, Runner, RunnerLimits, StopReason};
 use fpcore::hash::ContentHasher;
 use targets::builtin;
@@ -28,9 +28,15 @@ const TARGETS: [&str; 2] = ["c99", "arith-fma"];
 fn selector_digest_is_pinned() {
     let config = Config::fast().improve.isel;
     let targets = TARGETS.map(|name| builtin::by_name(name).unwrap());
-    let selectors = targets
-        .each_ref()
-        .map(|target| InstructionSelector::new(target, config));
+    let rules: Vec<TargetRules> = targets
+        .iter()
+        .map(|target| TargetRules::new(target).unwrap())
+        .collect();
+    let selectors: Vec<InstructionSelector> = targets
+        .iter()
+        .zip(&rules)
+        .map(|(target, rules)| InstructionSelector::new(target, rules, config))
+        .collect();
     let mut hasher = ContentHasher::new();
     for bench in benchsuite::all() {
         let core = bench.fpcore();
@@ -60,9 +66,8 @@ fn truncating_saturation_digest_is_pinned() {
         ..RunnerLimits::default()
     };
     let rule_sets = TARGETS.map(|name| {
-        let mut rule_set = rules::full_rules();
-        rule_set.extend(desugaring_rules(&builtin::by_name(name).unwrap()));
-        rule_set
+        let rules = TargetRules::new(&builtin::by_name(name).unwrap()).unwrap();
+        rules.selection().to_vec()
     });
     let mut hasher = ContentHasher::new();
     for bench in benchsuite::all() {
