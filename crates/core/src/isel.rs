@@ -115,9 +115,10 @@ pub fn desugaring_rules(target: &Target) -> Result<Vec<Rewrite<ChassisNode>>, Co
 /// The rule sets one compile saturates with on one target.
 ///
 /// A target's desugaring rules compile one pattern pair per operator (164
-/// patterns on `c99`), so a compile builds them once here and every
-/// instruction-selection run and cost-opportunity pass of that compile
-/// shares them (cloning a [`Rewrite`] only shares it).
+/// patterns on `c99`), so a [`Session`](crate::Session) builds them once per
+/// target and every instruction-selection run and cost-opportunity pass of
+/// every compile for that target shares them (cloning a [`Rewrite`] only
+/// shares it).
 #[derive(Clone, Debug)]
 pub struct TargetRules {
     selection: Vec<Rewrite<ChassisNode>>,

@@ -516,6 +516,34 @@ struct PreparedInner {
     /// local-error heuristic re-requests the same real subexpressions for
     /// every target and every improve iteration).
     truths: GroundTruthCache,
+    /// The session's rule sets, shared by every preparation it made.
+    rules: Arc<RulesCache>,
+}
+
+/// Each target's rule sets, built once per session and keyed by
+/// [`Target::fingerprint`]. A target whose rules cannot be built keeps its
+/// error, so every compile for it fails the same way.
+#[derive(Default)]
+struct RulesCache(Mutex<HashMap<u128, Result<Arc<TargetRules>, CompileError>>>);
+
+impl RulesCache {
+    /// The rule sets for `target`, built on its first request.
+    fn get(&self, target: &Target) -> Result<Arc<TargetRules>, CompileError> {
+        let key = target.fingerprint();
+        // Entries are inserted whole, so a poisoned lock guards a sound map.
+        let entries = || {
+            self.0
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        };
+        if let Some(hit) = entries().get(&key) {
+            return hit.clone();
+        }
+        // Built outside the lock. Two racing builds for one target are
+        // identical, and both callers get the one inserted first.
+        let built = TargetRules::new(target).map(Arc::new);
+        entries().entry(key).or_insert(built).clone()
+    }
 }
 
 /// The target-independent state of one benchmark under one session: the parsed
@@ -589,8 +617,8 @@ impl Prepared {
             phase: Phase::Lowering,
         });
         let phase_started = Instant::now();
-        // Built once per compile: every saturation run below shares it.
-        let rules = TargetRules::new(target)?;
+        // Built once per session and target: every compile shares them.
+        let rules = inner.rules.get(target)?;
         let initial = initial_program(target, &rules, &inner.core, &inner.config)?;
         let lowering_time = phase_started.elapsed();
         ctx.emit(Progress::PhaseFinished {
@@ -827,6 +855,8 @@ pub struct Session {
     /// count — this is the number the "prepare once per benchmark" guarantee
     /// is stated (and tested) in terms of.
     prepares: AtomicUsize,
+    /// Each target's rule sets, shared with every preparation.
+    rules: Arc<RulesCache>,
 }
 
 impl Session {
@@ -836,6 +866,7 @@ impl Session {
             config,
             cache: Mutex::new(HashMap::new()),
             prepares: AtomicUsize::new(0),
+            rules: Arc::default(),
         }
     }
 
@@ -893,6 +924,7 @@ impl Session {
                 var_types: variable_types(core),
                 samples,
                 truths,
+                rules: Arc::clone(&self.rules),
             }),
         };
         self.cache
@@ -1084,6 +1116,23 @@ mod tests {
         let totals = prepared.inner.truths.truth_stats();
         assert!(totals.misses > 0, "the compiles ran no ground truth");
         assert_eq!(summed, totals);
+    }
+
+    #[test]
+    fn compiles_of_one_target_share_one_rule_set() {
+        let session = Session::new(Config::fast());
+        let first = session.prepare(&cancellation()).unwrap();
+        let second = session
+            .prepare(&parse_fpcore("(FPCore (x) :pre (and (> x 0) (< x 1)) (* x x))").unwrap())
+            .unwrap();
+        let target = builtin::by_name("c99").unwrap();
+        first.compile(&target).unwrap();
+        second.compile(&target).unwrap();
+        // The compiles left one rule set in the session's cache, and both
+        // preparations hand out that one.
+        assert_eq!(session.rules.0.lock().unwrap().len(), 1);
+        let rules = |prepared: &Prepared| prepared.inner.rules.get(&target).unwrap();
+        assert!(Arc::ptr_eq(&rules(&first), &rules(&second)));
     }
 
     #[test]

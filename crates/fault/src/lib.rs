@@ -46,9 +46,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 ///   `GroundTruth::Unsamplable`, the ladder's own non-convergence outcome.
 /// * `egraph.saturate` — at the top of each saturation iteration; an abort
 ///   stops the run as if the node cap had been hit.
-/// * `par.spawn` — before the worker fan-out in `chassis::par`; an abort
-///   degrades to the serial path, and so does a panic, which `par` catches
-///   as it would a thread the OS refuses.
+/// * `par.spawn` — in `chassis::par`, before an index fan-out is published to
+///   the helper threads; an abort makes the caller run the range alone (the
+///   serial path), and so does a panic, which `par` catches: both stand for
+///   helpers the OS refused.
 /// * `session.compile` — at the head of each per-target compile job; the
 ///   direct way to prove per-job isolation in `compile_many`.
 /// * `store.read` — in the service result store's disk-read path; an abort

@@ -15,6 +15,7 @@ pub mod vdt;
 use crate::operator::Operator;
 use crate::target::Target;
 use fpcore::FpType;
+use std::sync::OnceLock;
 
 /// Every built-in target, in the order of Figure 6.
 pub fn all_targets() -> Vec<Target> {
@@ -32,8 +33,16 @@ pub fn all_targets() -> Vec<Target> {
 }
 
 /// Looks up a built-in target by name.
+///
+/// The nine targets are built once per process and the match is cloned: the
+/// compile daemon looks a target up for every request, and building all nine
+/// costs far more than cloning one.
 pub fn by_name(name: &str) -> Option<Target> {
-    all_targets().into_iter().find(|t| t.name == name)
+    static ALL: OnceLock<Vec<Target>> = OnceLock::new();
+    ALL.get_or_init(all_targets)
+        .iter()
+        .find(|t| t.name == name)
+        .cloned()
 }
 
 fn suffix(ty: FpType) -> &'static str {
@@ -181,6 +190,27 @@ mod tests {
         assert!(by_name("avx").is_some());
         assert!(by_name("julia").is_some());
         assert!(by_name("riscv").is_none());
+    }
+
+    #[test]
+    fn by_name_returns_what_each_constructor_builds() {
+        let constructors: [fn() -> Target; 9] = [
+            arith::target,
+            arith_fma::target,
+            avx::target,
+            c99::target,
+            python::target,
+            julia::target,
+            numpy::target,
+            vdt::target,
+            fdlibm::target,
+        ];
+        for constructor in constructors {
+            let built = constructor();
+            let found = by_name(&built.name).unwrap();
+            assert_eq!(found.name, built.name);
+            assert_eq!(found.fingerprint(), built.fingerprint(), "{}", built.name);
+        }
     }
 
     #[test]
