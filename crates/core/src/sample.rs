@@ -12,7 +12,7 @@
 use crate::par;
 use crate::rng::Rng;
 use fpcore::{Constant, Expr, FPCore, FpType, RealOp, Symbol};
-use rival::{Evaluator, GroundTruth};
+use rival::{Evaluator, GroundTruth, Memo};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -434,27 +434,6 @@ impl Sampler {
             test_truth: test_truths,
         })
     }
-
-    /// Recomputes ground truth for an arbitrary real expression over existing
-    /// points (used by the accuracy evaluation of candidate programs whose
-    /// desugaring differs from the original only by real-equivalent rewrites, and
-    /// by the local-error heuristic for subexpressions).
-    pub fn ground_truths(
-        &self,
-        expr: &Expr,
-        vars: &[Symbol],
-        points: &Columns,
-        ty: FpType,
-    ) -> Vec<GroundTruth> {
-        par::par_map_range(points.len(), |i| {
-            let env: Vec<(Symbol, f64)> = vars
-                .iter()
-                .enumerate()
-                .map(|(v, sym)| (*sym, points.value(i, v)))
-                .collect();
-            self.evaluator.eval(expr, &env, ty)
-        })
-    }
 }
 
 /// Work counters for a [`GroundTruthCache`]: the observable effect of the
@@ -465,8 +444,10 @@ pub struct TruthStats {
     pub hits: usize,
     /// Requests that ran a Rival sweep.
     pub misses: usize,
-    /// Interval node evaluations performed by the sweeps, summed over the
-    /// precision rungs each point tried.
+    /// Interval node evaluations the sweeps performed: each is one entry of
+    /// the cache's subexpression memo (a real subexpression at one point
+    /// and precision rung), computed once. An entry a sweep found in the
+    /// memo is not an evaluation, so this is the same at every thread count.
     pub node_evals: u64,
     /// Wall-clock spent inside Rival sweeps (summed across concurrent
     /// sweeps, so this can exceed elapsed time on multi-core).
@@ -500,8 +481,16 @@ impl TruthStats {
 ///
 /// The cache owns its point columns: it can only ever be asked about the
 /// point set it was built for, so a memoized answer is always the answer the
-/// uncached evaluation would have produced — bit for bit. A miss runs Rival's
-/// uniform precision ladder on the whole expression at every point.
+/// uncached evaluation would have produced — bit for bit.
+///
+/// A miss runs Rival's precision ladder on the expression at every point,
+/// through a second memo: a [`rival::Memo`] of every real subexpression's
+/// interval per point and precision rung, shared by every request to the
+/// cache. A sweep evaluates a subexpression only where no earlier request
+/// (from any target or job using this cache) already has, so a miss on an
+/// operator whose arguments were asked about before evaluates the operator
+/// alone. Interval values do not depend on what else was evaluated, so
+/// neither do the truths. Both memos live and die with the cache.
 #[derive(Clone)]
 pub struct GroundTruthCache {
     inner: Arc<GroundTruthCacheInner>,
@@ -556,9 +545,10 @@ type TruthCell = Arc<std::sync::OnceLock<Arc<Vec<GroundTruth>>>>;
 type TruthMemo = HashMap<Expr, HashMap<FpType, TruthCell>>;
 
 struct GroundTruthCacheInner {
-    /// Same precision ladder the uncached local-error path used, so cached
+    /// Every subexpression's interval per point and rung, on the same
+    /// precision ladder the uncached local-error path used, so cached
     /// results (including which points are `Unsamplable`) are bit-identical.
-    evaluator: Evaluator,
+    nodes: Memo,
     vars: Vec<Symbol>,
     points: Columns,
     memo: Mutex<TruthMemo>,
@@ -571,7 +561,10 @@ impl GroundTruthCache {
     pub fn new(vars: Vec<Symbol>, points: Columns) -> GroundTruthCache {
         GroundTruthCache {
             inner: Arc::new(GroundTruthCacheInner {
-                evaluator: Evaluator::with_precisions(vec![96, 192, 384]),
+                nodes: Memo::new(
+                    &Evaluator::with_precisions(vec![96, 192, 384]),
+                    points.len(),
+                ),
                 vars,
                 points,
                 memo: Mutex::new(HashMap::new()),
@@ -653,6 +646,7 @@ impl GroundTruthCache {
     fn sweep(&self, expr: &Expr, ty: FpType) -> (Vec<GroundTruth>, (u64, u64)) {
         let inner = &*self.inner;
         let start = std::time::Instant::now();
+        let interned = inner.nodes.intern(expr);
         let outcomes = par::par_map_range(inner.points.len(), |i| {
             let env: Vec<(Symbol, f64)> = inner
                 .vars
@@ -660,7 +654,7 @@ impl GroundTruthCache {
                 .enumerate()
                 .map(|(v, sym)| (*sym, inner.points.value(i, v)))
                 .collect();
-            inner.evaluator.eval_counted(expr, &env, ty)
+            interned.eval_counted(i, &env, ty)
         });
         let evals = outcomes.iter().map(|&(_, evals)| evals).sum();
         #[allow(clippy::cast_possible_truncation)]
@@ -777,6 +771,85 @@ mod tests {
         let (hits, misses) = cache.stats();
         assert_eq!(misses, exprs.len(), "each expression swept exactly once");
         assert_eq!(hits + misses, 8 * exprs.len());
+    }
+
+    /// Six seeded points for `args`, drawn without regard to any `:pre`.
+    fn drawn_points(stream: u64, args: &[(Symbol, FpType)]) -> Columns {
+        let rows: Vec<Vec<f64>> = (0..6)
+            .map(|point| {
+                let mut rng = Rng::for_stream(0x7e57_ed11, stream * 6 + point);
+                args.iter()
+                    .map(|&(_, ty)| Sampler::draw(&mut rng, ty))
+                    .collect()
+            })
+            .collect();
+        Columns::from_rows(args.len(), &rows)
+    }
+
+    #[test]
+    fn the_subexpression_memo_answers_like_fresh_caches_in_any_order_and_thread_count() {
+        let _guard = crate::par::test_lock();
+        for (stream, bench) in (0u64..).zip(benchsuite::corpus::all()) {
+            let core = bench.fpcore();
+            let (vars, ty) = (core.arg_names(), core.precision);
+            let points = drawn_points(stream, &core.args);
+            let cache = || GroundTruthCache::new(vars.clone(), points.clone());
+            let subs = core.body.subexpressions();
+            crate::par::set_thread_count(1);
+            // Each subexpression on a cache of its own: nothing shared.
+            let fresh: Vec<Arc<Vec<GroundTruth>>> = subs
+                .iter()
+                .map(|sub| cache().ground_truths(sub, ty))
+                .collect();
+            // One cache asked parents first, one children first...
+            let (forward, warmed) = (cache(), cache());
+            for (sub, want) in subs.iter().zip(&fresh) {
+                assert_eq!(forward.ground_truths(sub, ty), *want, "{}", bench.name);
+            }
+            for (sub, want) in subs.iter().zip(&fresh).rev() {
+                assert_eq!(warmed.ground_truths(sub, ty), *want, "{}", bench.name);
+            }
+            // ...and one asked from four threads at once, each in its own
+            // order, with the sweeps' fan-out on four workers too.
+            crate::par::set_thread_count(4);
+            let shared = cache();
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|scope| {
+                for t in 0..4 {
+                    let (shared, start, subs, fresh) = (&shared, &start, &subs, &fresh);
+                    scope.spawn(move || {
+                        start.wait();
+                        for k in 0..subs.len() {
+                            let i = (k * (2 * t + 1) + t) % subs.len();
+                            assert_eq!(shared.ground_truths(subs[i], ty), fresh[i]);
+                        }
+                    });
+                }
+            });
+            // The same entries were computed, once each, whatever the order
+            // and the thread count; and the truth memo's counts match.
+            let (warm, many) = (warmed.truth_stats(), shared.truth_stats());
+            assert_eq!(
+                warm,
+                TruthStats {
+                    eval_time: warm.eval_time,
+                    ..forward.truth_stats()
+                }
+            );
+            assert_eq!(warm.node_evals, many.node_evals, "{}", bench.name);
+            assert_eq!(warm.misses, many.misses, "{}", bench.name);
+            assert_eq!(4 * (warm.hits + warm.misses), many.hits + many.misses);
+            let unshared: u64 = subs
+                .iter()
+                .map(|sub| {
+                    let alone = cache();
+                    alone.ground_truths(sub, ty);
+                    alone.truth_stats().node_evals
+                })
+                .sum();
+            assert!(warm.node_evals <= unshared, "{}", bench.name);
+        }
+        crate::par::set_thread_count(0);
     }
 
     #[test]

@@ -31,22 +31,23 @@ use std::fmt;
 ///
 /// Parsing, canonicalization, hashing, lowering, Rival, the e-graph and the
 /// printer all recurse over the expression tree, and a stack overflow aborts
-/// the process rather than unwinding. The compile daemon's connection and
-/// worker threads get Rust's default 2 MiB stacks; in an unoptimized build a
-/// compile request through the daemon first overflows one between 256 and 512
-/// levels, so this limit leaves at least a factor of two. `chassis::par`'s
-/// helper threads get [`THREAD_STACK_BYTES`]. The deepest benchmark in the
-/// corpus nests 8 levels.
+/// the process rather than unwinding. The threads compile work runs on get
+/// [`THREAD_STACK_BYTES`]. With Rust's 2 MiB default for spawned threads, an
+/// unoptimized build overflowed a daemon connection thread between 256 and
+/// 512 levels, so this limit leaves a factor of two even there. The deepest
+/// benchmark in the corpus nests 8 levels.
 pub const MAX_DEPTH: usize = 128;
 
-/// The stack size, in bytes, of the helper threads that `chassis::par` runs
-/// compile work on.
+/// The stack size, in bytes, of the threads compile work runs on:
+/// `chassis::par`'s helpers, and the compile daemon's connection and pool
+/// worker threads (replacements included).
 ///
 /// Whether an item of a `chassis::par` fan-out runs on the calling thread or
 /// on a helper depends on timing, so a helper gets the main thread's usual
 /// stack (8 MiB on Linux) rather than Rust's 2 MiB default for spawned
 /// threads: an input within [`MAX_DEPTH`] then overflows no helper where it
-/// would not overflow the main thread.
+/// would not overflow the main thread. The daemon's threads parse, hash and
+/// compile the same inputs, so they get the same stack.
 pub const THREAD_STACK_BYTES: usize = 8 << 20;
 
 /// The most nodes a `let` substitution may produce.

@@ -210,6 +210,32 @@ impl BigFloat {
         }
     }
 
+    /// True if both have the same representation: variant, sign, exponent
+    /// and mantissa. This is not numeric equality: `-0` and `+0` differ, and
+    /// so do `2·2^0` and `1·2^1`. An operation given operands of the same
+    /// representation returns a result of the same representation.
+    pub(crate) fn same_representation(&self, other: &BigFloat) -> bool {
+        use BigFloat::*;
+        match (self, other) {
+            (
+                Finite {
+                    negative: na,
+                    exp: ea,
+                    mant: ma,
+                },
+                Finite {
+                    negative: nb,
+                    exp: eb,
+                    mant: mb,
+                },
+            ) => na == nb && ea == eb && ma == mb,
+            (Zero { negative: a }, Zero { negative: b })
+            | (Inf { negative: a }, Inf { negative: b }) => a == b,
+            (NaN, NaN) => true,
+            _ => false,
+        }
+    }
+
     /// Exponent of the most significant bit (`floor(log2 |x|)`), or `None` for
     /// zero, infinity and NaN.
     pub fn magnitude(&self) -> Option<i64> {
@@ -433,17 +459,20 @@ impl BigFloat {
         BigFloat::add(a, &b.neg(), prec, mode)
     }
 
-    /// Multiplication rounded to `prec` bits.
+    /// Multiplication rounded to `prec` bits: the exact product, rounded
+    /// once.
     pub fn mul(a: &BigFloat, b: &BigFloat, prec: u32, mode: RoundMode) -> BigFloat {
+        BigFloat::mul_exact(a, b).round_to(prec, mode)
+    }
+
+    /// The exact product. Rounding it to `prec` bits in any mode gives
+    /// [`BigFloat::mul`] in that mode, so one product serves both directions.
+    pub(crate) fn mul_exact(a: &BigFloat, b: &BigFloat) -> BigFloat {
         use BigFloat::*;
         match (a, b) {
-            (NaN, _) | (_, NaN) => NaN,
-            (Inf { negative: na }, Inf { negative: nb }) => Inf { negative: na != nb },
-            (Inf { negative: na }, Zero { .. }) | (Zero { .. }, Inf { negative: na }) => {
-                let _ = na;
-                NaN
-            }
-            (Inf { negative: na }, Finite { negative: nb, .. })
+            (NaN, _) | (_, NaN) | (Inf { .. }, Zero { .. }) | (Zero { .. }, Inf { .. }) => NaN,
+            (Inf { negative: na }, Inf { negative: nb })
+            | (Inf { negative: na }, Finite { negative: nb, .. })
             | (Finite { negative: na, .. }, Inf { negative: nb }) => Inf { negative: na != nb },
             (Zero { negative: na }, Zero { negative: nb })
             | (Zero { negative: na }, Finite { negative: nb, .. })
@@ -459,28 +488,34 @@ impl BigFloat {
                     exp: eb,
                     mant: mb,
                 },
-            ) => BigFloat::Finite {
+            ) => Finite {
                 negative: na != nb,
                 exp: ea + eb,
                 mant: ma.mul(mb),
-            }
-            .round_to(prec, mode),
+            },
         }
     }
 
-    /// Division rounded to `prec` bits.
+    /// Division rounded to `prec` bits: a quotient carried to `prec + 2`
+    /// bits and a sticky bit, rounded once.
     pub fn div(a: &BigFloat, b: &BigFloat, prec: u32, mode: RoundMode) -> BigFloat {
+        BigFloat::div_sticky(a, b, prec).round_to(prec, mode)
+    }
+
+    /// The quotient to at least `prec + 2` bits, with one extra low bit set
+    /// when the division is inexact. That sticky bit sits below every bit a
+    /// rounding to `prec` bits reads, so rounding the result to `prec` bits
+    /// in any mode gives [`BigFloat::div`] in that mode.
+    pub(crate) fn div_sticky(a: &BigFloat, b: &BigFloat, prec: u32) -> BigFloat {
         use BigFloat::*;
         match (a, b) {
-            (NaN, _) | (_, NaN) => NaN,
-            (Inf { .. }, Inf { .. }) => NaN,
-            (Zero { .. }, Zero { .. }) => NaN,
+            (NaN, _) | (_, NaN) | (Inf { .. }, Inf { .. }) | (Zero { .. }, Zero { .. }) => NaN,
             (Inf { negative: na }, Zero { negative: nb })
-            | (Inf { negative: na }, Finite { negative: nb, .. }) => Inf { negative: na != nb },
+            | (Inf { negative: na }, Finite { negative: nb, .. })
+            | (Finite { negative: na, .. }, Zero { negative: nb }) => Inf { negative: na != nb },
             (Zero { negative: na }, Inf { negative: nb })
             | (Zero { negative: na }, Finite { negative: nb, .. })
             | (Finite { negative: na, .. }, Inf { negative: nb }) => Zero { negative: na != nb },
-            (Finite { negative: na, .. }, Zero { negative: nb }) => Inf { negative: na != nb },
             (
                 Finite {
                     negative: na,
@@ -515,35 +550,30 @@ impl BigFloat {
                     exp,
                     mant,
                 }
-                .round_to(prec, mode)
             }
         }
     }
 
-    /// Square root rounded to `prec` bits. Negative inputs give NaN; `±0` gives
+    /// Square root rounded to `prec` bits: a root carried to `prec + 2` bits
+    /// and a sticky bit, rounded once. Negative inputs give NaN; `±0` gives
     /// itself.
     pub fn sqrt(a: &BigFloat, prec: u32, mode: RoundMode) -> BigFloat {
+        BigFloat::sqrt_sticky(a, prec).round_to(prec, mode)
+    }
+
+    /// The square root to at least `prec + 2` bits, with one extra low bit
+    /// set when it is inexact, so that rounding it to `prec` bits in any
+    /// mode gives [`BigFloat::sqrt`] in that mode (as for
+    /// [`BigFloat::div_sticky`]).
+    pub(crate) fn sqrt_sticky(a: &BigFloat, prec: u32) -> BigFloat {
         use BigFloat::*;
         match a {
-            NaN => NaN,
+            NaN | Inf { negative: true } | Finite { negative: true, .. } => NaN,
             Zero { negative } => Zero {
                 negative: *negative,
             },
-            Inf { negative } => {
-                if *negative {
-                    NaN
-                } else {
-                    Inf { negative: false }
-                }
-            }
-            Finite {
-                negative,
-                exp,
-                mant,
-            } => {
-                if *negative {
-                    return NaN;
-                }
+            Inf { negative: false } => Inf { negative: false },
+            Finite { exp, mant, .. } => {
                 // Make the exponent even and the mantissa wide enough that the
                 // integer square root carries at least prec+2 bits.
                 let mut exp = *exp;
@@ -574,7 +604,6 @@ impl BigFloat {
                     exp: out_exp,
                     mant: out_mant,
                 }
-                .round_to(prec, mode)
             }
         }
     }

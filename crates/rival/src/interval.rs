@@ -11,6 +11,15 @@
 //! precision and widened by a fixed slop (the functions in [`crate::functions`]
 //! are accurate to a couple of ulps), which keeps enclosures rigorous for the
 //! narrow intervals produced when evaluating at exact floating-point points.
+//!
+//! No operation repeats work on operands of the same representation: the
+//! same variant, sign, exponent and mantissa, which the numerically equal −0
+//! and +0 do not share. A function is evaluated once when an interval's
+//! endpoints are one value, and a binary operation evaluates each distinct
+//! corner once. `mul`, `div` and `sqrt` compute each corner's exact (or
+//! sticky) result once and round it both ways. Each operation returns the
+//! endpoints the per-endpoint formula does, representation for
+//! representation.
 
 use crate::bigfloat::{BigFloat, RoundMode};
 use crate::functions as fun;
@@ -207,26 +216,12 @@ impl Interval {
     /// Multiplication (considers all endpoint products).
     pub fn mul(&self, other: &Interval, prec: u32) -> IResult {
         check_nan(self, other)?;
-        let candidates = [
-            BigFloat::mul(&self.lo, &other.lo, prec, RoundMode::Floor),
-            BigFloat::mul(&self.lo, &other.hi, prec, RoundMode::Floor),
-            BigFloat::mul(&self.hi, &other.lo, prec, RoundMode::Floor),
-            BigFloat::mul(&self.hi, &other.hi, prec, RoundMode::Floor),
-        ];
-        let candidates_hi = [
-            BigFloat::mul(&self.lo, &other.lo, prec, RoundMode::Ceil),
-            BigFloat::mul(&self.lo, &other.hi, prec, RoundMode::Ceil),
-            BigFloat::mul(&self.hi, &other.lo, prec, RoundMode::Ceil),
-            BigFloat::mul(&self.hi, &other.hi, prec, RoundMode::Ceil),
-        ];
+        let exact = distinct_corners(self, other, BigFloat::mul_exact);
         // 0 * inf produces NaN; treat such products as unbounded.
-        if candidates.iter().any(BigFloat::is_nan) || candidates_hi.iter().any(BigFloat::is_nan) {
+        if exact.iter().any(BigFloat::is_nan) {
             return Err(IntervalError::Unbounded);
         }
-        Ok(Interval {
-            lo: min_of(&candidates),
-            hi: max_of(&candidates_hi),
-        })
+        Ok(round_outward(&exact, prec))
     }
 
     /// Division. Division by an interval containing zero is unbounded.
@@ -241,26 +236,11 @@ impl Interval {
             }
             return Err(IntervalError::Unbounded);
         }
-        let candidates_lo = [
-            BigFloat::div(&self.lo, &other.lo, prec, RoundMode::Floor),
-            BigFloat::div(&self.lo, &other.hi, prec, RoundMode::Floor),
-            BigFloat::div(&self.hi, &other.lo, prec, RoundMode::Floor),
-            BigFloat::div(&self.hi, &other.hi, prec, RoundMode::Floor),
-        ];
-        let candidates_hi = [
-            BigFloat::div(&self.lo, &other.lo, prec, RoundMode::Ceil),
-            BigFloat::div(&self.lo, &other.hi, prec, RoundMode::Ceil),
-            BigFloat::div(&self.hi, &other.lo, prec, RoundMode::Ceil),
-            BigFloat::div(&self.hi, &other.hi, prec, RoundMode::Ceil),
-        ];
-        if candidates_lo.iter().any(BigFloat::is_nan) || candidates_hi.iter().any(BigFloat::is_nan)
-        {
+        let sticky = distinct_corners(self, other, |a, b| BigFloat::div_sticky(a, b, prec));
+        if sticky.iter().any(BigFloat::is_nan) {
             return Err(IntervalError::Unbounded);
         }
-        Ok(Interval {
-            lo: min_of(&candidates_lo),
-            hi: max_of(&candidates_hi),
-        })
+        Ok(round_outward(&sticky, prec))
     }
 
     /// Square root. Definitely-negative inputs are a domain error; intervals that
@@ -273,14 +253,17 @@ impl Interval {
         if self.is_strictly_negative() {
             return Err(IntervalError::Domain);
         }
+        let hi = BigFloat::sqrt_sticky(&self.hi, prec);
         let lo = if self.lo.is_negative() {
             BigFloat::zero()
+        } else if self.lo.same_representation(&self.hi) {
+            hi.round_to(prec, RoundMode::Floor)
         } else {
             BigFloat::sqrt(&self.lo, prec, RoundMode::Floor)
         };
         Ok(Interval {
             lo,
-            hi: BigFloat::sqrt(&self.hi, prec, RoundMode::Ceil),
+            hi: hi.round_to(prec, RoundMode::Ceil),
         })
     }
 
@@ -289,12 +272,23 @@ impl Interval {
         if self.has_nan() {
             return Err(IntervalError::Unbounded);
         }
-        let lo = f(&self.lo, prec);
-        let hi = f(&self.hi, prec);
+        let (lo, hi) = self.at_endpoints(|x| f(x, prec));
         if lo.is_nan() || hi.is_nan() {
             return Err(IntervalError::Domain);
         }
         Ok(Interval { lo, hi }.widen(FUNCTION_SLOP_ULPS, prec))
+    }
+
+    /// `f` at the lower and at the upper endpoint, evaluated once when the
+    /// endpoints have the same representation.
+    fn at_endpoints(&self, f: impl Fn(&BigFloat) -> BigFloat) -> (BigFloat, BigFloat) {
+        let lo = f(&self.lo);
+        let hi = if self.lo.same_representation(&self.hi) {
+            lo.clone()
+        } else {
+            f(&self.hi)
+        };
+        (lo, hi)
     }
 
     /// Exponential.
@@ -382,8 +376,7 @@ impl Interval {
         if self.lo.is_infinite() || self.hi.is_infinite() {
             return Err(IntervalError::Domain);
         }
-        let lo_v = f(&self.lo, prec);
-        let hi_v = f(&self.hi, prec);
+        let (lo_v, hi_v) = self.at_endpoints(|x| f(x, prec));
         if lo_v.is_nan() || hi_v.is_nan() {
             return Err(IntervalError::Unbounded);
         }
@@ -427,8 +420,7 @@ impl Interval {
         if self.has_nan() {
             return Err(IntervalError::Unbounded);
         }
-        let lo = fun::acos(&self.hi, prec);
-        let hi = fun::acos(&self.lo, prec);
+        let (hi, lo) = self.at_endpoints(|x| fun::acos(x, prec));
         if lo.is_nan() || hi.is_nan() {
             return Err(IntervalError::Unbounded);
         }
@@ -459,12 +451,7 @@ impl Interval {
         if x.contains_zero() && !(self.is_strictly_positive() || self.is_strictly_negative()) {
             return Err(IntervalError::Unbounded);
         }
-        let corners = [
-            fun::atan2(&self.lo, &x.lo, prec),
-            fun::atan2(&self.lo, &x.hi, prec),
-            fun::atan2(&self.hi, &x.lo, prec),
-            fun::atan2(&self.hi, &x.hi, prec),
-        ];
+        let corners = distinct_corners(self, x, |y, x| fun::atan2(y, x, prec));
         if corners.iter().any(BigFloat::is_nan) {
             return Err(IntervalError::Unbounded);
         }
@@ -485,8 +472,7 @@ impl Interval {
         if self.has_nan() {
             return Err(IntervalError::Unbounded);
         }
-        let lo_v = fun::cosh(&self.lo, prec);
-        let hi_v = fun::cosh(&self.hi, prec);
+        let (lo_v, hi_v) = self.at_endpoints(|x| fun::cosh(x, prec));
         if lo_v.is_nan() || hi_v.is_nan() {
             return Err(IntervalError::Domain);
         }
@@ -548,12 +534,7 @@ impl Interval {
         check_nan(self, y)?;
         // Positive base: monotone in well-understood ways; evaluate the corners.
         if self.is_strictly_positive() {
-            let corners = [
-                fun::pow(&self.lo, &y.lo, prec),
-                fun::pow(&self.lo, &y.hi, prec),
-                fun::pow(&self.hi, &y.lo, prec),
-                fun::pow(&self.hi, &y.hi, prec),
-            ];
+            let corners = distinct_corners(self, y, |x, y| fun::pow(x, y, prec));
             if corners.iter().any(BigFloat::is_nan) {
                 return Err(IntervalError::Unbounded);
             }
@@ -578,16 +559,16 @@ impl Interval {
     pub fn hypot(&self, other: &Interval, prec: u32) -> IResult {
         let a = self.fabs();
         let b = other.fabs();
-        let corners_lo = [fun::hypot(&a.lo, &b.lo, prec)];
-        let corners_hi = [fun::hypot(&a.hi, &b.hi, prec)];
-        if corners_lo.iter().any(BigFloat::is_nan) || corners_hi.iter().any(BigFloat::is_nan) {
+        let lo = fun::hypot(&a.lo, &b.lo, prec);
+        let hi = if a.lo.same_representation(&a.hi) && b.lo.same_representation(&b.hi) {
+            lo.clone()
+        } else {
+            fun::hypot(&a.hi, &b.hi, prec)
+        };
+        if lo.is_nan() || hi.is_nan() {
             return Err(IntervalError::Unbounded);
         }
-        Ok(Interval {
-            lo: corners_lo[0].clone(),
-            hi: corners_hi[0].clone(),
-        }
-        .widen(FUNCTION_SLOP_ULPS, prec))
+        Ok(Interval { lo, hi }.widen(FUNCTION_SLOP_ULPS, prec))
     }
 
     /// Fused multiply-add.
@@ -802,6 +783,46 @@ fn max_bf(a: &BigFloat, b: &BigFloat) -> BigFloat {
     }
 }
 
+/// `f` at each distinct corner of `a × b`, in the order (lo, lo), (lo, hi),
+/// (hi, lo), (hi, hi). When an interval's endpoints have the same
+/// representation, the corners through its upper endpoint repeat earlier
+/// ones and are left out. A left-out corner never changes [`min_of`] or
+/// [`max_of`]: each returns the first extreme element in order, and a repeat
+/// comes after the identical corner it repeats.
+fn distinct_corners(
+    a: &Interval,
+    b: &Interval,
+    f: impl Fn(&BigFloat, &BigFloat) -> BigFloat,
+) -> Vec<BigFloat> {
+    let endpoints = |x: &Interval| {
+        if x.lo.same_representation(&x.hi) {
+            1
+        } else {
+            2
+        }
+    };
+    let (xs, ys) = ([&a.lo, &a.hi], [&b.lo, &b.hi]);
+    let (nx, ny) = (endpoints(a), endpoints(b));
+    let mut out = Vec::with_capacity(nx * ny);
+    for x in &xs[..nx] {
+        for y in &ys[..ny] {
+            out.push(f(x, y));
+        }
+    }
+    out
+}
+
+/// The outward-rounded hull of unrounded corner values: the least corner
+/// rounded down and the greatest rounded up, at `prec` bits.
+fn round_outward(corners: &[BigFloat], prec: u32) -> Interval {
+    let round =
+        |mode| -> Vec<BigFloat> { corners.iter().map(|c| c.round_to(prec, mode)).collect() };
+    Interval {
+        lo: min_of(&round(RoundMode::Floor)),
+        hi: max_of(&round(RoundMode::Ceil)),
+    }
+}
+
 fn min_of(xs: &[BigFloat]) -> BigFloat {
     xs.iter()
         .skip(1)
@@ -812,6 +833,277 @@ fn max_of(xs: &[BigFloat]) -> BigFloat {
     xs.iter()
         .skip(1)
         .fold(xs[0].clone(), |acc, x| max_bf(&acc, x))
+}
+
+/// The per-endpoint formulas the corner and endpoint reuse replaced: every
+/// corner and endpoint computed on its own, through the public rounded
+/// `BigFloat` operations. The reuse must return what these return,
+/// representation for representation.
+#[cfg(test)]
+mod per_endpoint {
+    use super::*;
+
+    fn rounded_corners(
+        a: &Interval,
+        b: &Interval,
+        op: fn(&BigFloat, &BigFloat, u32, RoundMode) -> BigFloat,
+        prec: u32,
+    ) -> IResult {
+        let at = |mode| {
+            [
+                op(&a.lo, &b.lo, prec, mode),
+                op(&a.lo, &b.hi, prec, mode),
+                op(&a.hi, &b.lo, prec, mode),
+                op(&a.hi, &b.hi, prec, mode),
+            ]
+        };
+        let (lo, hi) = (at(RoundMode::Floor), at(RoundMode::Ceil));
+        if lo.iter().any(BigFloat::is_nan) || hi.iter().any(BigFloat::is_nan) {
+            return Err(IntervalError::Unbounded);
+        }
+        Ok(Interval {
+            lo: min_of(&lo),
+            hi: max_of(&hi),
+        })
+    }
+
+    pub(super) fn mul(a: &Interval, b: &Interval, prec: u32) -> IResult {
+        check_nan(a, b)?;
+        rounded_corners(a, b, BigFloat::mul, prec)
+    }
+
+    pub(super) fn div(a: &Interval, b: &Interval, prec: u32) -> IResult {
+        check_nan(a, b)?;
+        if b.contains_zero() {
+            if b.is_point() {
+                return Err(IntervalError::Domain);
+            }
+            return Err(IntervalError::Unbounded);
+        }
+        rounded_corners(a, b, BigFloat::div, prec)
+    }
+
+    pub(super) fn sqrt(x: &Interval, prec: u32) -> IResult {
+        if x.has_nan() {
+            return Err(IntervalError::Unbounded);
+        }
+        if x.is_strictly_negative() {
+            return Err(IntervalError::Domain);
+        }
+        let lo = if x.lo.is_negative() {
+            BigFloat::zero()
+        } else {
+            BigFloat::sqrt(&x.lo, prec, RoundMode::Floor)
+        };
+        Ok(Interval {
+            lo,
+            hi: BigFloat::sqrt(&x.hi, prec, RoundMode::Ceil),
+        })
+    }
+
+    fn monotone(x: &Interval, f: fn(&BigFloat, u32) -> BigFloat, prec: u32) -> IResult {
+        if x.has_nan() {
+            return Err(IntervalError::Unbounded);
+        }
+        let lo = f(&x.lo, prec);
+        let hi = f(&x.hi, prec);
+        if lo.is_nan() || hi.is_nan() {
+            return Err(IntervalError::Domain);
+        }
+        Ok(Interval { lo, hi }.widen(FUNCTION_SLOP_ULPS, prec))
+    }
+
+    fn log(x: &Interval, prec: u32) -> IResult {
+        if x.has_nan() {
+            return Err(IntervalError::Unbounded);
+        }
+        if x.is_strictly_negative() {
+            return Err(IntervalError::Domain);
+        }
+        if x.is_strictly_positive() {
+            return monotone(x, fun::log, prec);
+        }
+        if x.hi.partial_cmp(&BigFloat::zero()) == Some(Ordering::Equal) && x.is_point() {
+            return Err(IntervalError::Domain);
+        }
+        Err(IntervalError::Unbounded)
+    }
+
+    fn trig(x: &Interval, f: fn(&BigFloat, u32) -> BigFloat, prec: u32) -> IResult {
+        if x.has_nan() {
+            return Err(IntervalError::Unbounded);
+        }
+        if x.lo.is_infinite() || x.hi.is_infinite() {
+            return Err(IntervalError::Domain);
+        }
+        let lo_v = f(&x.lo, prec);
+        let hi_v = f(&x.hi, prec);
+        if lo_v.is_nan() || hi_v.is_nan() {
+            return Err(IntervalError::Unbounded);
+        }
+        if !narrow(x, prec) {
+            return Ok(Interval {
+                lo: BigFloat::from_i64(-1),
+                hi: BigFloat::from_i64(1),
+            });
+        }
+        Ok(Interval {
+            lo: min_bf(&lo_v, &hi_v),
+            hi: max_bf(&lo_v, &hi_v),
+        }
+        .widen(FUNCTION_SLOP_ULPS, prec))
+    }
+
+    /// Every one-argument operation whose endpoints are reused, by name.
+    pub(super) fn unary(name: &str, x: &Interval, prec: u32) -> IResult {
+        let one = BigFloat::from_i64(1);
+        let minus_one = BigFloat::from_i64(-1);
+        match name {
+            "sqrt" => sqrt(x, prec),
+            "exp" => monotone(x, fun::exp, prec),
+            "expm1" => monotone(x, fun::expm1, prec),
+            "exp2" => monotone(x, fun::exp2, prec),
+            "log" => log(x, prec),
+            "log2" => div(&log(x, prec)?, &Interval::point(fun::ln2(prec + 16)), prec),
+            "log10" => div(&log(x, prec)?, &Interval::point(fun::ln10(prec + 16)), prec),
+            "log1p" => {
+                if x.has_nan() {
+                    return Err(IntervalError::Unbounded);
+                }
+                if x.hi.partial_cmp(&minus_one) == Some(Ordering::Less) {
+                    return Err(IntervalError::Domain);
+                }
+                if x.lo.partial_cmp(&minus_one) != Some(Ordering::Greater) {
+                    return Err(IntervalError::Unbounded);
+                }
+                monotone(x, fun::log1p, prec)
+            }
+            "cbrt" => monotone(x, fun::cbrt, prec),
+            "sin" => trig(x, fun::sin, prec),
+            "cos" => trig(x, fun::cos, prec),
+            "tan" => div(&trig(x, fun::sin, prec)?, &trig(x, fun::cos, prec)?, prec),
+            "atan" => monotone(x, fun::atan, prec),
+            "asin" => {
+                x.inverse_trig_domain()?;
+                monotone(x, fun::asin, prec)
+            }
+            "acos" => {
+                x.inverse_trig_domain()?;
+                if x.has_nan() {
+                    return Err(IntervalError::Unbounded);
+                }
+                let lo = fun::acos(&x.hi, prec);
+                let hi = fun::acos(&x.lo, prec);
+                if lo.is_nan() || hi.is_nan() {
+                    return Err(IntervalError::Unbounded);
+                }
+                Ok(Interval { lo, hi }.widen(FUNCTION_SLOP_ULPS, prec))
+            }
+            "sinh" => monotone(x, fun::sinh, prec),
+            "cosh" => {
+                if x.has_nan() {
+                    return Err(IntervalError::Unbounded);
+                }
+                let lo_v = fun::cosh(&x.lo, prec);
+                let hi_v = fun::cosh(&x.hi, prec);
+                if lo_v.is_nan() || hi_v.is_nan() {
+                    return Err(IntervalError::Domain);
+                }
+                let (lo, hi) = if x.contains_zero() {
+                    (BigFloat::from_i64(1), max_bf(&lo_v, &hi_v))
+                } else {
+                    (min_bf(&lo_v, &hi_v), max_bf(&lo_v, &hi_v))
+                };
+                Ok(Interval { lo, hi }.widen(FUNCTION_SLOP_ULPS, prec))
+            }
+            "tanh" => monotone(x, fun::tanh, prec),
+            "asinh" => monotone(x, fun::asinh, prec),
+            "acosh" => {
+                if x.has_nan() {
+                    return Err(IntervalError::Unbounded);
+                }
+                if x.hi.partial_cmp(&one) == Some(Ordering::Less) {
+                    return Err(IntervalError::Domain);
+                }
+                if x.lo.partial_cmp(&one) == Some(Ordering::Less) {
+                    return Err(IntervalError::Unbounded);
+                }
+                monotone(x, fun::acosh, prec)
+            }
+            "atanh" => {
+                if x.has_nan() {
+                    return Err(IntervalError::Unbounded);
+                }
+                if x.lo.partial_cmp(&one) == Some(Ordering::Greater)
+                    || x.hi.partial_cmp(&minus_one) == Some(Ordering::Less)
+                {
+                    return Err(IntervalError::Domain);
+                }
+                if x.lo.partial_cmp(&minus_one) != Some(Ordering::Greater)
+                    || x.hi.partial_cmp(&one) != Some(Ordering::Less)
+                {
+                    return Err(IntervalError::Unbounded);
+                }
+                monotone(x, fun::atanh, prec)
+            }
+            _ => unreachable!("no unary operation {name}"),
+        }
+    }
+
+    /// Every two-argument operation whose corners are reused, by name.
+    pub(super) fn binary(name: &str, a: &Interval, b: &Interval, prec: u32) -> IResult {
+        let corners = |f: fn(&BigFloat, &BigFloat, u32) -> BigFloat| {
+            let c = [
+                f(&a.lo, &b.lo, prec),
+                f(&a.lo, &b.hi, prec),
+                f(&a.hi, &b.lo, prec),
+                f(&a.hi, &b.hi, prec),
+            ];
+            if c.iter().any(BigFloat::is_nan) {
+                return Err(IntervalError::Unbounded);
+            }
+            Ok(Interval {
+                lo: min_of(&c),
+                hi: max_of(&c),
+            }
+            .widen(FUNCTION_SLOP_ULPS, prec))
+        };
+        match name {
+            "mul" => mul(a, b, prec),
+            "div" => div(a, b, prec),
+            "pow" => {
+                check_nan(a, b)?;
+                if a.is_strictly_positive() {
+                    return corners(fun::pow);
+                }
+                if a.is_point() && b.is_point() {
+                    let v = fun::pow(&a.lo, &b.lo, prec);
+                    if v.is_nan() {
+                        return Err(IntervalError::Domain);
+                    }
+                    return Ok(Interval::point(v).widen(FUNCTION_SLOP_ULPS, prec));
+                }
+                Err(IntervalError::Unbounded)
+            }
+            "atan2" => {
+                check_nan(a, b)?;
+                if b.contains_zero() && !(a.is_strictly_positive() || a.is_strictly_negative()) {
+                    return Err(IntervalError::Unbounded);
+                }
+                corners(fun::atan2)
+            }
+            "hypot" => {
+                let (x, y) = (a.fabs(), b.fabs());
+                let lo = fun::hypot(&x.lo, &y.lo, prec);
+                let hi = fun::hypot(&x.hi, &y.hi, prec);
+                if lo.is_nan() || hi.is_nan() {
+                    return Err(IntervalError::Unbounded);
+                }
+                Ok(Interval { lo, hi }.widen(FUNCTION_SLOP_ULPS, prec))
+            }
+            _ => unreachable!("no binary operation {name}"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -831,6 +1123,184 @@ mod tests {
         let hi = iv.hi.to_f64(RoundMode::Ceil);
         let slack = 4.0 * (hi.abs().max(lo.abs()).max(1e-300) * f64::EPSILON);
         lo - slack <= x && x <= hi + slack
+    }
+
+    /// The operation under its public name.
+    fn unary(name: &str, x: &Interval, prec: u32) -> IResult {
+        match name {
+            "sqrt" => x.sqrt(prec),
+            "exp" => x.exp(prec),
+            "expm1" => x.expm1(prec),
+            "exp2" => x.exp2(prec),
+            "log" => x.log(prec),
+            "log2" => x.log2(prec),
+            "log10" => x.log10(prec),
+            "log1p" => x.log1p(prec),
+            "cbrt" => x.cbrt(prec),
+            "sin" => x.sin(prec),
+            "cos" => x.cos(prec),
+            "tan" => x.tan(prec),
+            "atan" => x.atan(prec),
+            "asin" => x.asin(prec),
+            "acos" => x.acos(prec),
+            "sinh" => x.sinh(prec),
+            "cosh" => x.cosh(prec),
+            "tanh" => x.tanh(prec),
+            "asinh" => x.asinh(prec),
+            "acosh" => x.acosh(prec),
+            "atanh" => x.atanh(prec),
+            _ => unreachable!("no unary operation {name}"),
+        }
+    }
+
+    fn binary(name: &str, a: &Interval, b: &Interval, prec: u32) -> IResult {
+        match name {
+            "mul" => a.mul(b, prec),
+            "div" => a.div(b, prec),
+            "pow" => a.pow(b, prec),
+            "atan2" => a.atan2(b, prec),
+            "hypot" => a.hypot(b, prec),
+            _ => unreachable!("no binary operation {name}"),
+        }
+    }
+
+    const UNARY: &[&str] = &[
+        "sqrt", "exp", "expm1", "exp2", "log", "log2", "log10", "log1p", "cbrt", "sin", "cos",
+        "tan", "atan", "asin", "acos", "sinh", "cosh", "tanh", "asinh", "acosh", "atanh",
+    ];
+    const BINARY: &[&str] = &["mul", "div", "pow", "atan2", "hypot"];
+
+    fn same(got: &IResult, want: &IResult) -> bool {
+        match (got, want) {
+            (Ok(g), Ok(w)) => g.lo.same_representation(&w.lo) && g.hi.same_representation(&w.hi),
+            (Err(g), Err(w)) => g == w,
+            _ => false,
+        }
+    }
+
+    /// SplitMix64, for seeded endpoints.
+    struct Seeded(u64);
+
+    impl Seeded {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// An endpoint: a special value, a double of moderate magnitude, one
+        /// wider than any rung (an exact product of two doubles), or a double
+        /// written with a non-normalized mantissa.
+        fn endpoint(&mut self) -> BigFloat {
+            let double = |r: &mut Seeded| {
+                let mant = (r.next() >> 11) as f64 / (1u64 << 53) as f64 + 0.5;
+                let exp = r.below(40) as i32 - 20;
+                let sign = if r.below(3) == 0 { -1.0 } else { 1.0 };
+                BigFloat::from_f64(sign * mant * 2f64.powi(exp))
+            };
+            match self.below(12) {
+                0 => BigFloat::Zero {
+                    negative: self.below(2) == 0,
+                },
+                1 => BigFloat::infinity(self.below(2) == 0),
+                2 => BigFloat::nan(),
+                3 => BigFloat::from_i64(self.below(5) as i64 - 2),
+                4 => BigFloat::mul_exact(&double(self), &double(self)),
+                5 => match double(self) {
+                    BigFloat::Finite {
+                        negative,
+                        exp,
+                        mant,
+                    } => BigFloat::Finite {
+                        negative,
+                        exp: exp - 3,
+                        mant: mant.shl(3),
+                    },
+                    other => other,
+                },
+                _ => double(self),
+            }
+        }
+
+        /// A point (one endpoint twice), a pair in numeric order, or a pair
+        /// as drawn.
+        fn interval(&mut self) -> Interval {
+            let a = self.endpoint();
+            match self.below(3) {
+                0 => Interval::point(a),
+                1 => {
+                    let b = self.endpoint();
+                    if a.partial_cmp(&b) == Some(Ordering::Greater) {
+                        Interval::new(b, a)
+                    } else {
+                        Interval::new(a, b)
+                    }
+                }
+                _ => Interval::new(a, self.endpoint()),
+            }
+        }
+    }
+
+    #[test]
+    fn reused_corners_and_endpoints_match_the_per_endpoint_formulas() {
+        let zero = |negative| BigFloat::Zero { negative };
+        // Each signed zero, both mixed-sign zero intervals, one value in two
+        // representations, and the specials, against a few fixed partners.
+        let mut fixed = vec![
+            Interval::new(zero(true), zero(false)),
+            Interval::new(zero(false), zero(true)),
+            Interval::point(zero(true)),
+            Interval::point(zero(false)),
+            Interval::new(
+                BigFloat::from_i64(2),
+                crate::functions::mul_pow2(&BigFloat::from_i64(1), 1),
+            ),
+            Interval::point(BigFloat::infinity(false)),
+            Interval::new(BigFloat::infinity(true), BigFloat::from_f64(0.5)),
+            Interval::point(BigFloat::nan()),
+        ];
+        fixed.extend([-2.5, -0.75, 0.5, 3.0].map(pt));
+        let mut rng = Seeded(0x0c0f_fee5_eed5);
+        let mut intervals = fixed.clone();
+        intervals.extend((0..120).map(|_| rng.interval()));
+        let mut pairs: Vec<(Interval, Interval)> = fixed
+            .iter()
+            .flat_map(|a| fixed.iter().map(move |b| (a.clone(), b.clone())))
+            .collect();
+        pairs.extend((0..120).map(|_| (rng.interval(), rng.interval())));
+        let mut checked = 0;
+        for prec in [96, 192, 384] {
+            for x in &intervals {
+                for name in UNARY {
+                    let (got, want) = (unary(name, x, prec), per_endpoint::unary(name, x, prec));
+                    assert!(
+                        same(&got, &want),
+                        "{name}({x:?}) at {prec}: {got:?} != {want:?}"
+                    );
+                    checked += 1;
+                }
+            }
+            for (a, b) in &pairs {
+                for name in BINARY {
+                    let (got, want) = (
+                        binary(name, a, b, prec),
+                        per_endpoint::binary(name, a, b, prec),
+                    );
+                    assert!(
+                        same(&got, &want),
+                        "{name}({a:?}, {b:?}) at {prec}: {got:?} != {want:?}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 10_000, "{checked} cases");
     }
 
     #[test]

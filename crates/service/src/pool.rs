@@ -16,6 +16,7 @@
 //! worker retires instead of double-staffing the pool.
 
 use std::collections::{HashMap, VecDeque};
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -65,15 +66,9 @@ pub struct Pool {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolFull;
 
-fn lock(m: &Mutex<Sched>) -> MutexGuard<'_, Sched> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl Pool {
-    /// Starts `workers` worker threads with a total queue bound of
-    /// `max_queued` jobs.
-    pub fn new(workers: usize, max_queued: usize) -> Pool {
-        let inner = Arc::new(PoolInner {
+impl PoolInner {
+    fn new(max_queued: usize) -> PoolInner {
+        PoolInner {
             sched: Mutex::new(Sched {
                 queues: HashMap::new(),
                 order: VecDeque::new(),
@@ -85,20 +80,33 @@ impl Pool {
             rejected: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             replacements: AtomicU64::new(0),
-        });
-        let handles = (0..workers.max(1))
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("chassis-worker-{i}"))
-                    .spawn(move || worker_loop(&inner))
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap_or_default();
-        Pool {
+        }
+    }
+}
+
+fn lock(m: &Mutex<Sched>) -> MutexGuard<'_, Sched> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Pool {
+    /// Starts `workers` worker threads (at least one) with a total queue
+    /// bound of `max_queued` jobs. A thread the OS refuses is one worker
+    /// fewer; every worker that started is kept and joined by
+    /// [`Pool::shutdown`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the OS's error when not a single worker starts: a pool
+    /// without workers would accept jobs that never run.
+    pub fn new(workers: usize, max_queued: usize) -> io::Result<Pool> {
+        let inner = Arc::new(PoolInner::new(max_queued));
+        let handles = start_workers(workers.max(1), |i| {
+            spawn_worker(&inner, format!("chassis-worker-{i}"))
+        })?;
+        Ok(Pool {
             inner,
             workers: Mutex::new(handles),
-        }
+        })
     }
 
     /// Queues a job on `client`'s queue.
@@ -161,11 +169,7 @@ impl Pool {
             }
         }
         let n = self.inner.replacements.fetch_add(1, Ordering::Relaxed);
-        let inner = Arc::clone(&self.inner);
-        if let Ok(handle) = std::thread::Builder::new()
-            .name(format!("chassis-worker-r{n}"))
-            .spawn(move || worker_loop(&inner))
-        {
+        if let Ok(handle) = spawn_worker(&self.inner, format!("chassis-worker-r{n}")) {
             self.workers
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
@@ -195,6 +199,40 @@ impl Pool {
             let _ = handle.join();
         }
     }
+}
+
+/// Calls `spawn` for workers `0..count`, keeping each one that starts: a
+/// refusal costs that worker only. Fails, with the first refusal, only when
+/// none starts.
+fn start_workers(
+    count: usize,
+    mut spawn: impl FnMut(usize) -> io::Result<JoinHandle<()>>,
+) -> io::Result<Vec<JoinHandle<()>>> {
+    let mut started = Vec::with_capacity(count);
+    let mut refused = None;
+    for i in 0..count {
+        match spawn(i) {
+            Ok(handle) => started.push(handle),
+            Err(e) => {
+                refused.get_or_insert(e);
+            }
+        }
+    }
+    match refused {
+        Some(e) if started.is_empty() => Err(e),
+        _ => Ok(started),
+    }
+}
+
+/// Starts one worker thread named `name`. Compiles recurse over the
+/// expression tree, so a worker gets the stack of `chassis::par`'s helpers
+/// ([`fpcore::parser::THREAD_STACK_BYTES`]), not Rust's 2 MiB default.
+fn spawn_worker(inner: &Arc<PoolInner>, name: String) -> io::Result<JoinHandle<()>> {
+    let inner = Arc::clone(inner);
+    std::thread::Builder::new()
+        .name(name)
+        .stack_size(fpcore::parser::THREAD_STACK_BYTES)
+        .spawn(move || worker_loop(&inner))
 }
 
 fn worker_loop(inner: &PoolInner) {
@@ -263,8 +301,101 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_thread_costs_one_worker_and_the_rest_are_kept() {
+        let inner = Arc::new(PoolInner::new(8));
+        let mut attempts = 0;
+        let handles = start_workers(2, |i| {
+            attempts += 1;
+            if i == 1 {
+                return Err(io::Error::new(io::ErrorKind::WouldBlock, "refused"));
+            }
+            spawn_worker(&inner, format!("chassis-worker-{i}"))
+        })
+        .unwrap();
+        assert_eq!((attempts, handles.len()), (2, 1));
+        let pool = Pool {
+            inner: Arc::clone(&inner),
+            workers: Mutex::new(handles),
+        };
+        let (tx, rx) = mpsc::channel();
+        pool.submit(
+            "c",
+            Box::new(move || {
+                tx.send(std::thread::current().name().map(str::to_owned))
+                    .unwrap();
+                JobOutcome::Done
+            }),
+        )
+        .unwrap();
+        let ran_on = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the worker that started runs jobs");
+        assert_eq!(ran_on.as_deref(), Some("chassis-worker-0"));
+        pool.shutdown();
+        // Joined: the worker's handle on the pool is gone once shutdown
+        // returns.
+        assert_eq!(Arc::strong_count(&inner), 1);
+        // Refusing every thread is an error, not an empty pool.
+        let none = start_workers(3, |_| Err(io::Error::other("refused")));
+        assert_eq!(none.unwrap_err().to_string(), "refused");
+    }
+
+    /// Recurses until the stack is at least `bytes` deeper than at `top`
+    /// (stacks grow downward), and returns the depth reached.
+    fn recurse_below(top: usize, bytes: usize) -> usize {
+        let mut frame = [0u8; 1024];
+        std::hint::black_box(&mut frame);
+        let depth = top.saturating_sub(frame.as_ptr() as usize);
+        if depth >= bytes {
+            return depth;
+        }
+        recurse_below(top, bytes) + usize::from(frame[0])
+    }
+
+    #[test]
+    fn workers_and_replacements_get_the_large_stack() {
+        let pool = Pool::new(1, 8).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let deep_job = |tx: mpsc::Sender<usize>| -> Job {
+            Box::new(move || {
+                // 4 MiB of stack, twice a default spawned thread's.
+                let top = 0u8;
+                let top = std::ptr::from_ref(&top) as usize;
+                tx.send(recurse_below(top, 4 << 20)).unwrap();
+                JobOutcome::Done
+            })
+        };
+        pool.submit("c", deep_job(tx.clone())).unwrap();
+        let timeout = std::time::Duration::from_secs(30);
+        assert!(rx.recv_timeout(timeout).unwrap() >= 4 << 20);
+        // A replacement worker, once the first retires.
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g = Arc::clone(&gate);
+        pool.submit(
+            "c",
+            Box::new(move || {
+                let (m, cv) = &*g;
+                let mut open = m.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+                JobOutcome::Abandoned
+            }),
+        )
+        .unwrap();
+        while pool.queued() > 0 {
+            std::thread::yield_now();
+        }
+        pool.note_worker_lost();
+        open_gate(&gate);
+        pool.submit("c", deep_job(tx)).unwrap();
+        assert!(rx.recv_timeout(timeout).unwrap() >= 4 << 20);
+        pool.shutdown();
+    }
+
+    #[test]
     fn runs_jobs_and_drains_on_shutdown() {
-        let pool = Pool::new(2, 64);
+        let pool = Pool::new(2, 64).unwrap();
         let (tx, rx) = mpsc::channel();
         for i in 0..10 {
             let tx = tx.clone();
@@ -286,7 +417,7 @@ mod tests {
     #[test]
     fn queue_bound_refuses_excess_jobs() {
         // One worker, blocked on a gate: everything else queues.
-        let pool = Pool::new(1, 2);
+        let pool = Pool::new(1, 2).unwrap();
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         pool.submit("c", gated_job(&gate)).unwrap();
         // Wait until the worker has picked the blocker up, then fill the queue.
@@ -309,7 +440,7 @@ mod tests {
         // Submit 3 jobs for a chatty client and 1 for a quiet one while the
         // single worker is blocked; the quiet client's job must run before
         // the chatty client's backlog is done.
-        let pool = Pool::new(1, 64);
+        let pool = Pool::new(1, 64).unwrap();
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         pool.submit("chatty", gated_job(&gate)).unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
@@ -350,7 +481,7 @@ mod tests {
         // must complete *while the first is still blocked* — capacity is
         // restored around the stuck thread, and when the stuck job finally
         // returns Abandoned its worker retires (shutdown still joins clean).
-        let pool = Pool::new(1, 64);
+        let pool = Pool::new(1, 64).unwrap();
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let g = Arc::clone(&gate);
         pool.submit(
@@ -393,7 +524,7 @@ mod tests {
         // quiet client submits one real job: round-robin must schedule the
         // quiet job within the first two dispatches after the gate opens, and
         // the flood client's queue must vanish entirely once drained.
-        let pool = Pool::new(1, 64);
+        let pool = Pool::new(1, 64).unwrap();
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         pool.submit("flood", gated_job(&gate)).unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));

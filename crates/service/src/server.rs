@@ -508,7 +508,8 @@ impl Handle {
 ///
 /// # Errors
 ///
-/// Propagates binding or store-directory errors.
+/// Propagates binding and store-directory errors, and the OS's error when
+/// not one pool worker thread starts.
 pub fn start(config: ServerConfig) -> std::io::Result<Handle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
@@ -516,7 +517,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<Handle> {
         memory_capacity: config.memory_capacity,
         disk_dir: config.disk_dir.clone(),
     })?;
-    let pool = Pool::new(config.workers, config.max_queued);
+    let pool = Pool::new(config.workers, config.max_queued)?;
     let state = Arc::new(ServerState {
         config,
         local_addr: addr,
@@ -652,8 +653,11 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
             }
         }
         let conn_state = Arc::clone(state);
+        // Parsing and canonicalizing a request recurse over its expression,
+        // so a connection gets the same stack as a compile worker.
         let spawned = std::thread::Builder::new()
             .name("chassis-conn".to_owned())
+            .stack_size(fpcore::parser::THREAD_STACK_BYTES)
             .spawn(move || connection_loop(stream, &conn_state));
         drop(spawned);
     }

@@ -9,8 +9,8 @@
 //! leak into another's unarmed run.
 
 use chassis::{
-    CancelToken, CompilationResult, CompileError, Config, ErrorKind, Phase, Progress, SampleError,
-    SearchControl, SearchStats, Session,
+    CancelToken, CompilationResult, CompileError, Config, ErrorKind, GroundTruthCache, Phase,
+    Progress, SampleError, SearchControl, SearchStats, Session,
 };
 use fpcore::parse_fpcore;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -156,6 +156,49 @@ fn forced_non_convergence_is_a_ground_truth_error() {
         CompileError::GroundTruth(rival::TruthError::NonConverged { .. })
     ));
     assert!(render_chain(&compile_err).contains("did not converge"));
+}
+
+#[test]
+fn a_truth_sweep_that_panics_midway_leaves_later_answers_exact() {
+    // Arm Rival's fault point to panic from the fourth (expression, point)
+    // request on, in the middle of a sweep over eight points, and catch the
+    // panic. The points before it filled entries of the cache's subexpression
+    // memo; the request that panicked filled none. Disarmed, the same cache
+    // must answer every expression, the interrupted one included, exactly as
+    // a fresh cache does.
+    let x = fpcore::Symbol::new("x");
+    let rows: Vec<Vec<f64>> = (1..=8).map(|i| vec![0.37 * f64::from(i)]).collect();
+    let points = targets::Columns::from_rows(1, &rows);
+    let cache = GroundTruthCache::new(vec![x], points.clone());
+    let exprs: Vec<fpcore::Expr> = [
+        "(- (sqrt (+ x 1)) (sqrt x))",
+        "(sqrt (+ x 1))",
+        "(+ x 1)",
+        "(/ (exp x) (sqrt x))",
+    ]
+    .iter()
+    .map(|src| fpcore::parse_expr(src).unwrap())
+    .collect();
+    {
+        let _plan =
+            fault::install(fault::FaultPlan::new().arm("rival.eval", fault::FaultAction::Panic, 3));
+        let sweep = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.ground_truths(&exprs[0], fpcore::FpType::Binary64)
+        }));
+        assert!(sweep.is_err(), "the armed panic fires mid-sweep");
+    }
+    let _plan = fault::install(fault::FaultPlan::new());
+    for expr in &exprs {
+        let fresh = GroundTruthCache::new(vec![x], points.clone());
+        assert_eq!(
+            cache.ground_truths(expr, fpcore::FpType::Binary64),
+            fresh.ground_truths(expr, fpcore::FpType::Binary64),
+            "{expr:?}"
+        );
+    }
+    // The interrupted request answered nothing, so its expression missed
+    // again.
+    assert_eq!(cache.stats(), (0, exprs.len()));
 }
 
 #[test]
