@@ -47,7 +47,7 @@
 
 use chassis::lower_fpcore;
 use chassis::rng::Rng;
-use chassis_bench::{parse_flags, parse_value};
+use chassis_bench::{parse_flags, parse_value, prior_history};
 use fpcore::eval::semantic_bits;
 use std::time::{Duration, Instant};
 use targets::analysis::{self, Mode};
@@ -543,62 +543,6 @@ fn history_entry(
         totals.block_pps[totals.chosen],
         targets.join(", ")
     )
-}
-
-/// Prior history entries to carry forward from the existing out file. A
-/// schema-3 to -5 file contributes its `history` array verbatim; a legacy schema-2
-/// file (the pre-vecmath baseline) is summarized into a synthesized entry so
-/// the bench trajectory starts at the old numbers.
-fn prior_history(path: &str) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    if let Some(start) = text.find("\"history\": [") {
-        let rest = &text[start + "\"history\": [".len()..];
-        let Some(end) = rest.find(']') else {
-            return Vec::new();
-        };
-        return rest[..end]
-            .lines()
-            .map(|line| line.trim().trim_end_matches(',').to_owned())
-            .filter(|line| line.starts_with('{'))
-            .collect();
-    }
-    // Legacy schema 2: pull the headline numbers out of the hand-rolled
-    // format (first occurrence of each field is the top-level/totals one).
-    let field = |name: &str| -> Option<f64> {
-        let at = text.find(&format!("\"{name}\": "))?;
-        let rest = &text[at + name.len() + 4..];
-        let end = rest.find([',', '}', '\n'])?;
-        rest[..end].trim().parse().ok()
-    };
-    let block = (|| {
-        let chosen = field("chosen_block_size")?;
-        let at = text.find("\"block_points_per_sec\": {")?;
-        let rest = &text[at..];
-        let key = format!("\"{}\": ", chosen as u64);
-        let k = rest.find(&key)?;
-        let rest = &rest[k + key.len()..];
-        let end = rest.find([',', '}'])?;
-        rest[..end].trim().parse::<f64>().ok()
-    })();
-    match (
-        field("schema_version"),
-        field("seed"),
-        field("points_per_case"),
-        field("interp_points_per_sec"),
-        field("bytecode_points_per_sec"),
-        block,
-    ) {
-        (Some(schema), Some(seed), Some(points), Some(interp), Some(byte), Some(block)) => {
-            vec![format!(
-                "{{\"schema_version\": {schema}, \"seed\": {seed}, \"points_per_case\": {points}, \
-                 \"interp_points_per_sec\": {interp}, \"bytecode_points_per_sec\": {byte}, \
-                 \"block_points_per_sec\": {block}}}"
-            )]
-        }
-        _ => Vec::new(),
-    }
 }
 
 /// Renders the results as JSON (hand-rolled: the workspace has no registry

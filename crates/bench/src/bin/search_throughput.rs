@@ -33,7 +33,9 @@
 //! ```
 
 use chassis::{par, Config, SearchStats, Session};
-use chassis_bench::{corpus_cores, flag_value, grid_mismatches, HarnessOptions, ResultGrid};
+use chassis_bench::{
+    corpus_cores, flag_value, grid_mismatches, prior_history, HarnessOptions, ResultGrid,
+};
 use fpcore::FPCore;
 use std::time::{Duration, Instant};
 use targets::Target;
@@ -143,25 +145,6 @@ fn sweep_json(s: &Sweep) -> String {
         s.gt_hits,
         s.gt_misses,
     )
-}
-
-/// Prior history entries carried forward from an existing out file.
-fn prior_history(path: &str) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Some(start) = text.find("\"history\": [") else {
-        return Vec::new();
-    };
-    let rest = &text[start + "\"history\": [".len()..];
-    let Some(end) = rest.find(']') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .lines()
-        .map(|line| line.trim().trim_end_matches(',').to_owned())
-        .filter(|line| line.starts_with('{'))
-        .collect()
 }
 
 fn to_json(

@@ -46,7 +46,7 @@
 //!     --limit 2 --rounds 2 --max-fast-p99-frac 0.5 --out BENCH_soak.json
 //! ```
 
-use chassis_bench::{corpus_cores, flag_value, resolve_targets, HarnessOptions};
+use chassis_bench::{corpus_cores, flag_value, prior_history, resolve_targets, HarnessOptions};
 use fault::{FaultAction, FaultPlan};
 use fpcore::hash::canonical_text;
 use fpcore::FPCore;
@@ -257,25 +257,6 @@ struct Round {
     fires: u64,
     /// `kind` → count over the round's resolutions.
     tally: Vec<(String, usize)>,
-}
-
-/// Prior history entries carried forward from an existing out file.
-fn prior_history(path: &str) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Some(start) = text.find("\"history\": [") else {
-        return Vec::new();
-    };
-    let rest = &text[start + "\"history\": [".len()..];
-    let Some(end) = rest.find(']') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .lines()
-        .map(|line| line.trim().trim_end_matches(',').to_owned())
-        .filter(|line| line.starts_with('{'))
-        .collect()
 }
 
 fn tally_json(tally: &[(String, usize)]) -> String {

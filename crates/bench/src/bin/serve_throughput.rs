@@ -39,7 +39,9 @@
 //!     --limit 6 --min-warm-speedup 10 --max-warm-p99-frac 0.5 --out BENCH_serve.json
 //! ```
 
-use chassis_bench::{corpus_cores, flag_value, resolve_targets, HarnessOptions, ResultGrid};
+use chassis_bench::{
+    corpus_cores, flag_value, prior_history, resolve_targets, HarnessOptions, ResultGrid,
+};
 use fpcore::hash::canonical_text;
 use fpcore::FPCore;
 use service::{client, Json, ServerConfig};
@@ -301,25 +303,6 @@ fn sweep_json(s: &Sweep) -> String {
         ms(s.p99()),
         s.rps()
     )
-}
-
-/// Prior history entries carried forward from an existing out file.
-fn prior_history(path: &str) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Some(start) = text.find("\"history\": [") else {
-        return Vec::new();
-    };
-    let rest = &text[start + "\"history\": [".len()..];
-    let Some(end) = rest.find(']') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .lines()
-        .map(|line| line.trim().trim_end_matches(',').to_owned())
-        .filter(|line| line.starts_with('{'))
-        .collect()
 }
 
 #[allow(clippy::too_many_arguments)]

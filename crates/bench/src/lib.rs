@@ -394,16 +394,25 @@ where
     chassis::par::par_map(prepared, run)
 }
 
-/// Runs Chassis on one benchmark for one target, preparing through `session`
-/// (so a second target on the same session reuses the benchmark's samples and
-/// ground truth).
-pub fn run_chassis(
-    session: &Session,
-    target: &Target,
-    benchmark: &Benchmark,
-) -> Option<BenchmarkOutcome> {
-    let result = session.compile(&benchmark.fpcore(), target).ok()?;
-    Some(BenchmarkOutcome::from_result(benchmark.name, &result))
+/// The `history` entries of an existing `BENCH_*.json` file at `path`, one
+/// JSON object per line, to carry forward into the file a gate run rewrites.
+/// A missing file, or one without a `history` array, has none.
+pub fn prior_history(path: &str) -> Vec<String> {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        return Vec::new();
+    };
+    let Some(start) = text.find("\"history\": [") else {
+        return Vec::new();
+    };
+    let rest = &text[start + "\"history\": [".len()..];
+    let Some(end) = rest.find(']') else {
+        return Vec::new();
+    };
+    rest[..end]
+        .lines()
+        .map(|line| line.trim().trim_end_matches(',').to_owned())
+        .filter(|line| line.starts_with('{'))
+        .collect()
 }
 
 /// Runs the full Chassis pipeline and returns the raw result (used by the case

@@ -25,8 +25,6 @@ pub struct Config {
     pub seed: u64,
     /// Iterative-improvement settings.
     pub improve: ImproveConfig,
-    /// Whether to run regime inference at the end.
-    pub regimes: bool,
 }
 
 impl Default for Config {
@@ -36,7 +34,6 @@ impl Default for Config {
             test_points: 32,
             seed: 20250413,
             improve: ImproveConfig::default(),
-            regimes: true,
         }
     }
 }
@@ -56,9 +53,7 @@ impl Config {
                     node_limit: 3_000,
                     iter_limit: 4,
                     max_candidates: 24,
-                    ..IselConfig::default()
                 },
-                ..ImproveConfig::default()
             },
             ..Config::default()
         }
@@ -79,27 +74,16 @@ impl Config {
     /// `seed` is deliberately excluded: it is its own key component (the
     /// service hashes it separately, and callers reason about "same request,
     /// different seed" directly).
-    ///
-    /// The saturation *wall-clock* limits are included: a shorter time cap
-    /// can genuinely cut a search differently, so two configs that differ
-    /// there must not share cache entries (equal caps on machines of
-    /// different speeds can still diverge — the cache trades that corner for
-    /// hit rate, exactly as rerunning the compiler would).
     pub fn fingerprint(&self) -> u128 {
         let mut h = fpcore::hash::ContentHasher::new();
         h.u64(self.train_points as u64);
         h.u64(self.test_points as u64);
-        h.u64(u64::from(self.regimes));
         h.u64(self.improve.iterations as u64);
         h.u64(self.improve.candidates_per_iteration as u64);
         h.u64(self.improve.subexprs_per_candidate as u64);
         h.u64(self.improve.isel.node_limit as u64);
         h.u64(self.improve.isel.iter_limit as u64);
-        h.u64(self.improve.isel.time_limit.as_millis() as u64);
         h.u64(self.improve.isel.max_candidates as u64);
-        h.u64(self.improve.cost_opp.node_limit as u64);
-        h.u64(self.improve.cost_opp.iter_limit as u64);
-        h.u64(self.improve.cost_opp.time_limit.as_millis() as u64);
         h.digest()
     }
 }
@@ -115,15 +99,12 @@ impl Config {
 pub enum ResourceLimit {
     /// The e-graph node cap (the paper's 8000-node limit).
     Nodes(usize),
-    /// A wall-clock cap.
-    WallClock(std::time::Duration),
 }
 
 impl std::fmt::Display for ResourceLimit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ResourceLimit::Nodes(n) => write!(f, "{n} e-graph nodes"),
-            ResourceLimit::WallClock(d) => write!(f, "{}ms wall clock", d.as_millis()),
         }
     }
 }

@@ -14,29 +14,12 @@ use crate::typed_extract::TypedExtractor;
 use egraph::{EGraph, Id, Runner, RunnerLimits};
 use fpcore::{FpType, Symbol};
 use std::collections::HashMap;
-use std::time::Duration;
 use targets::{program_cost, FloatExpr, Target};
 
-/// Limits for the lightweight simplification pass.
-#[derive(Clone, Copy, Debug)]
-pub struct CostOppConfig {
-    /// Node limit for the (small) e-graph.
-    pub node_limit: usize,
-    /// Iteration limit.
-    pub iter_limit: usize,
-    /// Wall-clock budget.
-    pub time_limit: Duration,
-}
-
-impl Default for CostOppConfig {
-    fn default() -> Self {
-        CostOppConfig {
-            node_limit: 2_000,
-            iter_limit: 4,
-            time_limit: Duration::from_millis(400),
-        }
-    }
-}
+/// E-node limit of the simplification pass's (small) e-graph.
+const NODE_LIMIT: usize = 2_000;
+/// Iteration limit of the simplification pass.
+const ITER_LIMIT: usize = 4;
 
 fn collect_op_subexprs<'a>(
     expr: &'a FloatExpr,
@@ -74,7 +57,6 @@ pub fn cost_opportunities(
     rules: &TargetRules,
     candidate: &FloatExpr,
     var_types: &HashMap<Symbol, FpType>,
-    config: CostOppConfig,
 ) -> Vec<ScoredSubexpr> {
     // One e-graph seeded with every operator subexpression of the program, so the
     // simplification pass is shared across subexpressions.
@@ -92,9 +74,8 @@ pub fn cost_opportunities(
     }
 
     let limits = RunnerLimits {
-        iter_limit: config.iter_limit,
-        node_limit: config.node_limit,
-        time_limit: config.time_limit,
+        iter_limit: ITER_LIMIT,
+        node_limit: NODE_LIMIT,
         ..RunnerLimits::default()
     };
     Runner::with_limits(limits).run(&mut egraph, rules.simplification());
@@ -161,7 +142,7 @@ mod tests {
         let prog = lower_fpcore(&core, &t).unwrap();
         let vars = variable_types(&core);
         let rules = TargetRules::new(&t).unwrap();
-        let scored = cost_opportunities(&t, &rules, &prog, &vars, CostOppConfig::default());
+        let scored = cost_opportunities(&t, &rules, &prog, &vars);
         assert_eq!(scored.len(), 2);
         let div = scored
             .iter()
@@ -187,7 +168,7 @@ mod tests {
         let prog = lower_fpcore(&core, &t).unwrap();
         let vars = variable_types(&core);
         let rules = TargetRules::new(&t).unwrap();
-        let scored = cost_opportunities(&t, &rules, &prog, &vars, CostOppConfig::default());
+        let scored = cost_opportunities(&t, &rules, &prog, &vars);
         assert_eq!(scored.len(), 1);
         assert_eq!(scored[0].score, 0.0);
     }

@@ -10,7 +10,7 @@
 // only ways out of the loop, never an unwrap (docs/RESILIENCE.md).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 use crate::accuracy;
-use crate::cost_opportunity::{cost_opportunities, CostOppConfig};
+use crate::cost_opportunity::cost_opportunities;
 use crate::isel::{InstructionSelector, IselConfig, TargetRules};
 use crate::local_error::{local_errors_cached, ScoredSubexpr};
 use crate::par;
@@ -33,8 +33,6 @@ pub struct ImproveConfig {
     pub subexprs_per_candidate: usize,
     /// Limits for each instruction-selection run.
     pub isel: IselConfig,
-    /// Limits for the cost-opportunity analysis.
-    pub cost_opp: CostOppConfig,
 }
 
 impl Default for ImproveConfig {
@@ -44,7 +42,6 @@ impl Default for ImproveConfig {
             candidates_per_iteration: 2,
             subexprs_per_candidate: 2,
             isel: IselConfig::default(),
-            cost_opp: CostOppConfig::default(),
         }
     }
 }
@@ -264,8 +261,7 @@ pub fn improve_with(
         // and `par_map` reassembles the batches in candidate order.
         let batches: Vec<(Vec<FloatExpr>, bool)> = par::par_map(&to_expand, |candidate| {
             let errors = local_errors_cached(target, &candidate.expr, samples, &truths);
-            let opportunities =
-                cost_opportunities(target, rules, &candidate.expr, var_types, config.cost_opp);
+            let opportunities = cost_opportunities(target, rules, &candidate.expr, var_types);
             let chosen =
                 choose_subexpressions(&errors, &opportunities, config.subexprs_per_candidate);
             // Fall back to the whole program when no subexpression stands out.
@@ -343,9 +339,7 @@ mod tests {
                 node_limit: 3_000,
                 iter_limit: 4,
                 max_candidates: 20,
-                ..IselConfig::default()
             },
-            ..ImproveConfig::default()
         }
     }
 

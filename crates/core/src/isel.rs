@@ -20,7 +20,6 @@ use egraph::{EGraph, Id, Pattern, PatternNode, Rewrite, RunReport, Runner, Runne
 use fpcore::{Expr, FpType, Symbol};
 use std::collections::HashMap;
 use std::sync::OnceLock;
-use std::time::Duration;
 use targets::operator::{arg_symbol, MAX_ARITY};
 use targets::{FloatExpr, Target};
 
@@ -31,8 +30,6 @@ pub struct IselConfig {
     pub node_limit: usize,
     /// Saturation iteration limit.
     pub iter_limit: usize,
-    /// Wall-clock budget.
-    pub time_limit: Duration,
     /// Cap on candidates returned by multi-extraction (the paper reports ~40).
     pub max_candidates: usize,
 }
@@ -42,7 +39,6 @@ impl Default for IselConfig {
         IselConfig {
             node_limit: 8_000,
             iter_limit: 6,
-            time_limit: Duration::from_millis(1_500),
             max_candidates: 40,
         }
     }
@@ -190,7 +186,6 @@ impl<'a> InstructionSelector<'a> {
         let limits = RunnerLimits {
             iter_limit: self.config.iter_limit,
             node_limit: self.config.node_limit,
-            time_limit: self.config.time_limit,
             ..RunnerLimits::default()
         };
         let report = Runner::with_limits(limits).run(&mut egraph, self.rules);

@@ -314,17 +314,6 @@ impl Budget {
         self.max_iterations = Some(n);
         self
     }
-
-    /// Adds a wall-clock cap to this budget.
-    pub fn with_wall_clock(mut self, d: Duration) -> Budget {
-        self.max_duration = Some(d);
-        self
-    }
-
-    /// True when no cap is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_iterations.is_none() && self.max_duration.is_none()
-    }
 }
 
 /// The type of a [`Progress`] observer callback.
@@ -369,11 +358,6 @@ impl<'a> SearchControl<'a> {
     /// The configured budget.
     pub fn budget(&self) -> Budget {
         self.budget
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&'a CancelToken> {
-        self.cancel
     }
 }
 
@@ -645,35 +629,32 @@ impl Prepared {
             duration: improve_time,
         });
 
-        let mut regimes_time = Duration::ZERO;
-        if inner.config.regimes {
-            ctx.emit(Progress::PhaseStarted {
-                phase: Phase::Regimes,
+        ctx.emit(Progress::PhaseStarted {
+            phase: Phase::Regimes,
+        });
+        let phase_started = Instant::now();
+        if let Some((branched, cost, err)) =
+            infer_regimes_with(target, &frontier, &inner.samples, &ctx)
+        {
+            ctx.emit(Progress::RegimesInferred {
+                cost,
+                error_bits: err,
             });
-            let phase_started = Instant::now();
-            if let Some((branched, cost, err)) =
-                infer_regimes_with(target, &frontier, &inner.samples, &ctx)
-            {
-                ctx.emit(Progress::RegimesInferred {
+            frontier.insert(
+                cost,
+                err,
+                Candidate {
+                    expr: branched,
                     cost,
                     error_bits: err,
-                });
-                frontier.insert(
-                    cost,
-                    err,
-                    Candidate {
-                        expr: branched,
-                        cost,
-                        error_bits: err,
-                    },
-                );
-            }
-            regimes_time = phase_started.elapsed();
-            ctx.emit(Progress::PhaseFinished {
-                phase: Phase::Regimes,
-                duration: regimes_time,
-            });
+                },
+            );
         }
+        let regimes_time = phase_started.elapsed();
+        ctx.emit(Progress::PhaseFinished {
+            phase: Phase::Regimes,
+            duration: regimes_time,
+        });
 
         // Final evaluation on the held-out test points, one frontier program
         // per worker (scoring compiles and sweeps the test batch; results are
@@ -797,17 +778,13 @@ fn initial_program(
             }
             // Distinguish "the search ran out of room" from "the target
             // genuinely cannot express this": a saturation run cut short by
-            // its node or time cap might have found an equivalent form with
-            // a bigger budget, so report the exhausted resource instead of a
-            // flat `Unsupported`.
+            // its node cap might have found an equivalent form with a bigger
+            // budget, so report the exhausted resource instead of a flat
+            // `Unsupported`.
             match result.report.stop_reason {
                 egraph::StopReason::NodeLimit => Err(CompileError::ResourceExhausted {
                     phase: Phase::Lowering,
                     limit: ResourceLimit::Nodes(config.improve.isel.node_limit),
-                }),
-                egraph::StopReason::TimeLimit => Err(CompileError::ResourceExhausted {
-                    phase: Phase::Lowering,
-                    limit: ResourceLimit::WallClock(config.improve.isel.time_limit),
                 }),
                 egraph::StopReason::Saturated | egraph::StopReason::IterLimit => {
                     Err(CompileError::Unsupported(format!("{op} at {ty}")))
@@ -868,11 +845,6 @@ impl Session {
             prepares: AtomicUsize::new(0),
             rules: Arc::default(),
         }
-    }
-
-    /// A session with the default configuration.
-    pub fn with_defaults() -> Session {
-        Session::new(Config::default())
     }
 
     /// The session configuration.

@@ -216,8 +216,8 @@ impl<L: Language> EGraph<L> {
     }
 
     /// Extracts *some* concrete term from the class of `id` (the first found by a
-    /// depth-first walk that avoids cycles). Mostly useful for debugging; use an
-    /// [`crate::Extractor`] for cost-aware extraction.
+    /// depth-first walk that avoids cycles). Mostly useful for debugging; this
+    /// crate has no cost-aware extraction (Chassis brings its own typed one).
     pub fn any_term(&self, id: Id) -> Option<RecExpr<L>> {
         fn go<L: Language>(
             eg: &EGraph<L>,

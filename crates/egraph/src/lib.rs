@@ -10,8 +10,10 @@
 //!   depth-first e-matcher and an operator index ([`OpIndex`]) that sends a
 //!   rule only to the classes holding its root operator,
 //! * non-destructive [`Rewrite`] rules and a saturation [`Runner`] with node,
-//!   iteration, match and time limits,
-//! * greedy cost-based [`Extractor`]s over user-provided [`CostFunction`]s.
+//!   iteration and match limits (it reads no clock).
+//!
+//! Extraction is left to the client: Chassis's typed extractor needs the
+//! target's operator table, which no generic cost function can see.
 //!
 //! # Match order
 //!
@@ -86,7 +88,6 @@
 //! ```
 
 pub mod egraph;
-pub mod extract;
 mod hash;
 pub mod language;
 pub mod pattern;
@@ -97,7 +98,6 @@ pub mod runner;
 pub mod unionfind;
 
 pub use egraph::{EClass, EGraph};
-pub use extract::{CostFunction, Extractor, TreeSize};
 pub use language::{Id, Language, RecExpr};
 pub use pattern::{Matches, OpIndex, PatVar, Pattern, PatternNode};
 pub use rewrite::Rewrite;

@@ -1,11 +1,14 @@
 //! The equality-saturation runner: repeatedly applies a rule set until
 //! saturation or until resource limits are hit.
+//!
+//! Every limit counts work (iterations, e-nodes, matches) and the runner
+//! reads no clock, so a run's result does not depend on machine speed. A
+//! caller that needs a time bound enforces it between runs.
 
 use crate::egraph::EGraph;
 use crate::language::Language;
 use crate::pattern::{Matches, OpIndex};
 use crate::rewrite::Rewrite;
-use std::time::{Duration, Instant};
 
 /// Resource limits for a saturation run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -14,8 +17,6 @@ pub struct RunnerLimits {
     pub iter_limit: usize,
     /// Stop once the e-graph holds this many e-nodes (the paper uses 8000).
     pub node_limit: usize,
-    /// Wall-clock budget for the whole run.
-    pub time_limit: Duration,
     /// Cap on matches applied per rule per iteration (guards against explosive
     /// rules such as associativity). A rule's search stops at this many
     /// matches, which are the first ones in match order.
@@ -27,7 +28,6 @@ impl Default for RunnerLimits {
         RunnerLimits {
             iter_limit: 8,
             node_limit: 8_000,
-            time_limit: Duration::from_secs(5),
             match_limit: 2_500,
         }
     }
@@ -42,8 +42,6 @@ pub enum StopReason {
     IterLimit,
     /// The node limit was reached.
     NodeLimit,
-    /// The time limit was reached.
-    TimeLimit,
 }
 
 /// Statistics about a completed run.
@@ -59,8 +57,6 @@ pub struct RunReport {
     pub classes: usize,
     /// Total unions applied by rewrites.
     pub applied: usize,
-    /// Wall-clock time of the run.
-    pub elapsed: Duration,
 }
 
 /// Drives equality saturation over an e-graph.
@@ -88,7 +84,6 @@ impl Runner {
     /// Runs the rules until saturation or a limit is reached. The e-graph is
     /// rebuilt after every iteration, so it is clean when this returns.
     pub fn run<L: Language>(&self, egraph: &mut EGraph<L>, rules: &[Rewrite<L>]) -> RunReport {
-        let start = Instant::now();
         let mut iterations = 0;
         let mut total_applied = 0;
         let stop_reason = loop {
@@ -102,9 +97,6 @@ impl Runner {
             }
             if egraph.number_of_nodes() >= self.limits.node_limit {
                 break StopReason::NodeLimit;
-            }
-            if start.elapsed() >= self.limits.time_limit {
-                break StopReason::TimeLimit;
             }
 
             // Search all rules against the current (clean) e-graph, then apply.
@@ -140,7 +132,6 @@ impl Runner {
             nodes: egraph.number_of_nodes(),
             classes: egraph.number_of_classes(),
             applied: total_applied,
-            elapsed: start.elapsed(),
         }
     }
 }

@@ -65,14 +65,6 @@ impl Constant {
         }
     }
 
-    /// Returns the rational value if the constant is an exact rational.
-    pub fn as_rational(&self) -> Option<Rational> {
-        match self {
-            Constant::Rational(r) => Some(*r),
-            _ => None,
-        }
-    }
-
     /// True if this is the exact integer `n`.
     pub fn is_integer(&self, n: i128) -> bool {
         matches!(self, Constant::Rational(r) if *r == Rational::integer(n))

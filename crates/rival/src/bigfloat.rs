@@ -195,11 +195,6 @@ impl BigFloat {
         matches!(self, BigFloat::Zero { .. })
     }
 
-    /// True for finite non-zero values.
-    pub fn is_finite_nonzero(&self) -> bool {
-        matches!(self, BigFloat::Finite { .. })
-    }
-
     /// True if the value is negative (negative zero counts as negative).
     pub fn is_negative(&self) -> bool {
         match self {

@@ -44,11 +44,12 @@
 //!
 //! A `POST /compile` may carry `deadline_ms`: the daemon sheds the request
 //! at admission when its deadline cannot survive the queue (504 +
-//! `Retry-After`), caps the search's wall-clock budget to the remainder,
-//! and cancels the search cooperatively when the deadline expires or every
-//! waiter disappears. A watchdog thread reclaims genuinely stuck workers,
-//! and a per-client circuit breaker sheds clients whose deadlines keep
-//! expiring. Every 503/504 carries `Retry-After`.
+//! `Retry-After`) and caps the search's wall-clock budget to the remainder.
+//! Each waiting request answers its own deadline (504), and the last waiter
+//! to leave an unanswered job cancels its search cooperatively. A watchdog
+//! thread reclaims genuinely stuck workers, and a per-client circuit breaker
+//! sheds clients whose deadlines keep expiring. Every 503/504 carries
+//! `Retry-After`.
 
 pub mod client;
 pub mod http;

@@ -155,7 +155,8 @@ pub fn status_for(kind: ErrorKind) -> u16 {
 /// this instead of starting duplicate searches. Waiters are counted: when
 /// the last one abandons (its deadline expired or its client hung up), the
 /// flight's [`CancelToken`] fires and the underlying search winds down at
-/// its next cancellation point, freeing the worker for live requests.
+/// its next cancellation point, freeing the worker for live requests (see
+/// [`leave_flight`]).
 struct Flight {
     done: Mutex<Option<(u16, String)>>,
     cv: Condvar,
@@ -181,9 +182,9 @@ impl Flight {
         }
     }
 
-    /// Fills the flight. First writer wins — the watchdog and the job itself
-    /// can race, and every waiter must see exactly one answer. Returns
-    /// whether this call was the one that filled it.
+    /// Fills the flight. First writer wins — the watchdog's stuck reclaim and
+    /// the job itself can race, and every waiter must see exactly one answer.
+    /// Returns whether this call was the one that filled it.
     fn fill(&self, status: u16, body: String) -> bool {
         let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
         if done.is_some() {
@@ -194,28 +195,18 @@ impl Flight {
         true
     }
 
-    /// Registers one waiter (call before releasing the flight-map lock, so
-    /// the count can never be observed at zero while a request still cares).
+    /// Registers one waiter. Call it under the flight-map lock, which
+    /// [`leave_flight`] also holds, so no request can join a flight whose
+    /// last waiter is leaving.
     fn join(&self) {
         self.waiters.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// One waiter gives up or is answered. The last waiter out of an
-    /// unanswered flight cancels the underlying search — nobody is left to
-    /// read its result.
-    fn leave(&self) {
-        if self.waiters.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
-            if done.is_none() {
-                self.cancel.cancel();
-            }
-        }
-    }
-
     /// Blocks until filled, the waiter's deadline expires, or its client
-    /// disconnects (probed between condvar waits). The 600 s cap is a safety
-    /// net: jobs complete, are cancelled, or are reclaimed by the watchdog,
-    /// so a full wait means a bug.
+    /// disconnects (probed between condvar waits, at least every 100 ms; a
+    /// wait never runs past the deadline). The 600 s cap is a safety net:
+    /// jobs complete, are cancelled, or are reclaimed by the watchdog, so a
+    /// full wait means a bug.
     fn wait_until(
         &self,
         deadline: Option<Instant>,
@@ -224,12 +215,17 @@ impl Flight {
         let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
         let started = Instant::now();
         while done.is_none() {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(Abandoned::Deadline);
+            let mut wait = Duration::from_millis(100);
+            if let Some(deadline) = deadline {
+                let now = Instant::now();
+                if now >= deadline {
+                    return Err(Abandoned::Deadline);
+                }
+                wait = wait.min(deadline - now);
             }
             let (next, _) = self
                 .cv
-                .wait_timeout(done, Duration::from_millis(100))
+                .wait_timeout(done, wait)
                 .unwrap_or_else(PoisonError::into_inner);
             done = next;
             if done.is_some() {
@@ -302,8 +298,6 @@ struct InflightJob {
     deadline: Option<Instant>,
     /// When a worker actually picked the job up (`None` while queued).
     started: Mutex<Option<Instant>>,
-    /// The deadline 504 has been delivered (watchdog or dequeue fast-path).
-    expired: AtomicBool,
     /// The watchdog wrote this worker off as stuck: its pool slot was
     /// replaced, and the worker retires when (if) the job finally returns.
     abandoned: AtomicBool,
@@ -444,9 +438,25 @@ impl ServerState {
 /// Removes `key → flight` from the flight map iff it still maps to this
 /// exact flight; a newer flight for the same key keeps its own entry.
 fn detach_flight(state: &ServerState, key: &str, flight: &Arc<Flight>) {
-    let mut flights = lock(&state.flights);
+    remove_flight(&mut lock(&state.flights), key, flight);
+}
+
+fn remove_flight(flights: &mut HashMap<String, Arc<Flight>>, key: &str, flight: &Arc<Flight>) {
     if flights.get(key).is_some_and(|f| Arc::ptr_eq(f, flight)) {
         flights.remove(key);
+    }
+}
+
+/// One waiter gives up or is answered. The last waiter out of an unanswered
+/// flight cancels the underlying search — nobody is left to read its result
+/// — and removes the flight from the map, so a later identical request
+/// starts a fresh compile instead of joining a cancelled one. Both happen
+/// under the map lock, which every [`Flight::join`] holds too.
+fn leave_flight(state: &ServerState, key: &str, flight: &Arc<Flight>) {
+    let mut flights = lock(&state.flights);
+    if flight.waiters.fetch_sub(1, Ordering::SeqCst) == 1 && lock(&flight.done).is_none() {
+        flight.cancel.cancel();
+        remove_flight(&mut flights, key, flight);
     }
 }
 
@@ -552,13 +562,13 @@ pub fn start(config: ServerConfig) -> std::io::Result<Handle> {
     })
 }
 
-/// Scans in-flight jobs every [`ServerConfig::watchdog_interval`]:
-///
-/// - a job past its **deadline** gets its 504 delivered immediately (waiters
-///   unblock now, not when the worker notices) and its search cancelled;
-/// - a job running **stuck-long** (a hard multiple of its deadline budget,
-///   or [`ServerConfig::stuck_after`] without one) is written off: its pool
-///   slot is replaced so capacity recovers even if the worker never returns.
+/// Scans in-flight jobs every [`ServerConfig::watchdog_interval`] for stuck
+/// workers: a job running **stuck-long** (a hard multiple of its deadline
+/// budget, or [`ServerConfig::stuck_after`] without one) is written off —
+/// its search cancelled, its waiters answered, its pool slot replaced — so
+/// capacity recovers even if the worker never returns. Deadlines are not
+/// the watchdog's business: each request answers its own in
+/// [`Flight::wait_until`].
 fn watchdog_loop(state: &Arc<ServerState>) {
     while !state.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(state.config.watchdog_interval);
@@ -566,22 +576,6 @@ fn watchdog_loop(state: &Arc<ServerState>) {
         let jobs: Vec<Arc<InflightJob>> = lock(&state.inflight).values().map(Arc::clone).collect();
         let mut lost = 0usize;
         for job in jobs {
-            if let Some(deadline) = job.deadline {
-                if now >= deadline && !job.expired.swap(true, Ordering::SeqCst) {
-                    job.flight.cancel.cancel();
-                    if job.flight.fill(
-                        504,
-                        error_body(
-                            Some(&job.key),
-                            "deadline",
-                            "deadline expired before completion",
-                        ),
-                    ) {
-                        detach_flight(state, &job.key, &job.flight);
-                    }
-                    state.note_expiry(&job.client);
-                }
-            }
             let Some(started) = *lock(&job.started) else {
                 continue; // still queued; its worker is not wedged
             };
@@ -969,7 +963,7 @@ fn handle_compile(
     };
 
     // Level 4: a fresh compile job on the worker pool, registered with the
-    // watchdog before submission so even a queued job has a deadline escort.
+    // watchdog, which reclaims its worker if the job wedges.
     let job = Arc::new(InflightJob {
         key: key.clone(),
         client: client.to_owned(),
@@ -977,7 +971,6 @@ fn handle_compile(
         accepted: received,
         deadline,
         started: Mutex::new(None),
-        expired: AtomicBool::new(false),
         abandoned: AtomicBool::new(false),
     });
     let id = state.track(Arc::clone(&job));
@@ -1005,7 +998,7 @@ fn handle_compile(
             .fetch_add(1, Ordering::Relaxed);
         let body = error_body(Some(&key), "resource-exhausted", "compile queue is full");
         flight.fill(503, body.clone());
-        flight.leave();
+        leave_flight(state, &key, &flight);
         return Reply::retry(503, body, 1);
     }
     state.counters.compiles.fetch_add(1, Ordering::Relaxed);
@@ -1013,8 +1006,10 @@ fn handle_compile(
 }
 
 /// Waits on a flight as one counted waiter, honouring the request's own
-/// deadline and the client-liveness probe. The waiter always [`leave`]s —
-/// the last one out of an unanswered flight cancels the search.
+/// deadline and the client-liveness probe: the one place a request's
+/// deadline is answered and counted toward its client's breaker. The waiter
+/// always leaves ([`leave_flight`]) — the last one out of an unanswered
+/// flight cancels the search.
 fn finish_wait(
     state: &Arc<ServerState>,
     flight: &Arc<Flight>,
@@ -1025,9 +1020,17 @@ fn finish_wait(
     how: &str,
 ) -> Reply {
     let outcome = flight.wait_until(deadline, client_gone);
-    flight.leave();
+    leave_flight(state, key, flight);
     match outcome {
-        Ok((status, body)) => Reply::new(status, with_cache(&body, how)),
+        Ok((status, body)) => {
+            // The job answers 504 once the deadline it inherited has passed;
+            // if that beat this wait's own timer, it is still this request's
+            // expiry.
+            if status == 504 && deadline.is_some_and(|d| Instant::now() >= d) {
+                state.note_expiry(client);
+            }
+            Reply::new(status, with_cache(&body, how))
+        }
         Err(Abandoned::Deadline) => {
             state.note_expiry(client);
             Reply::retry(
@@ -1061,12 +1064,9 @@ fn compile_job(
     let begun = Instant::now();
     *lock(&job.started) = Some(begun);
     let token = job.flight.cancel.clone();
-    // Dequeued dead: the deadline passed while queued (the watchdog already
-    // answered 504) or every waiter abandoned. Don't start the search.
-    if token.is_cancelled()
-        || job.expired.load(Ordering::SeqCst)
-        || job.deadline.is_some_and(|d| begun >= d)
-    {
+    // Dequeued dead: the deadline passed while queued or every waiter
+    // abandoned. Don't start the search.
+    if token.is_cancelled() || job.deadline.is_some_and(|d| begun >= d) {
         state.counters.cancelled.fetch_add(1, Ordering::Relaxed);
         if job.flight.fill(
             504,

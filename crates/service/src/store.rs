@@ -29,8 +29,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// On-disk entry header magic + format version. Bump the version whenever the
 /// body format, the checksum, or the key digest algorithm changes: old
-/// entries then read as unknown-format and are recovered as misses.
-const DISK_MAGIC: &str = "chassis-store 1";
+/// entries then read as unknown-format and are recovered as misses. The key
+/// digest covers `Config::fingerprint`, so a change to the fields it hashes
+/// counts (docs/SERVICE.md).
+const DISK_MAGIC: &str = "chassis-store 2";
 
 /// Configuration for a [`ResultStore`].
 #[derive(Clone, Debug)]
@@ -307,7 +309,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// `chassis-store 1 <len> <fnv64 hex>\n<body>`.
+/// `chassis-store 2 <len> <fnv64 hex>\n<body>`.
 fn encode_entry(body: &str) -> String {
     format!(
         "{DISK_MAGIC} {} {:016x}\n{body}",
@@ -383,5 +385,9 @@ mod tests {
         assert_eq!(decode_entry(&encoded.as_bytes()[..encoded.len() - 2]), None);
         // Unknown version: recovered as miss.
         assert_eq!(decode_entry(b"chassis-store 9 1 00\nx"), None);
+        // So is an intact version-1 entry: its key hashed a configuration
+        // fingerprint over other fields.
+        let previous = format!("chassis-store 1 1 {:016x}\nx", fnv64(b"x"));
+        assert_eq!(decode_entry(previous.as_bytes()), None);
     }
 }

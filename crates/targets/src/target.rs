@@ -162,13 +162,6 @@ impl Target {
         (0..self.operators.len()).map(|i| OpId(i as u32))
     }
 
-    /// The operators producing results of the given type.
-    pub fn operators_of_type(&self, ty: FpType) -> Vec<OpId> {
-        self.operator_ids()
-            .filter(|id| self.operator(*id).ret_type == ty)
-            .collect()
-    }
-
     /// The numeric types this target supports (those appearing as a return type).
     pub fn supported_types(&self) -> Vec<FpType> {
         let mut tys: Vec<FpType> = self

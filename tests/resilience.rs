@@ -434,3 +434,26 @@ fn a_panicking_spawn_takes_the_serial_path() {
     assert_eq!(armed, unarmed);
     assert!(unarmed.iter().all(|line| !line.starts_with("error")));
 }
+
+#[test]
+fn a_slow_machine_cannot_change_a_result() {
+    // Every saturation iteration sleeps 400 ms before it starts, as on a
+    // badly overloaded machine. Saturation is bounded by work alone (nodes,
+    // iterations, matches), so the slowed compile must return the unarmed
+    // frontier bit for bit. One improve iteration keeps it to a few seconds.
+    let core = benchsuite::by_name("log-one-plus-over-x").unwrap().fpcore();
+    let target = builtin::by_name("c99").unwrap();
+    let mut config = Config::fast();
+    config.improve.iterations = 1;
+    let run = |plan: fault::FaultPlan| {
+        let armed = fault::install(plan);
+        let result = Session::new(config.clone()).compile(&core, &target);
+        (grid_lines(&[vec![result]]), armed.fires())
+    };
+    let (unarmed, _) = run(fault::FaultPlan::new());
+    let (slowed, fires) =
+        run(fault::FaultPlan::new().arm("egraph.saturate", fault::FaultAction::Delay(400), 0));
+    assert!(fires > 0, "the armed delay never fired");
+    assert_eq!(slowed, unarmed);
+    assert!(!unarmed[0].starts_with("error"), "{unarmed:?}");
+}

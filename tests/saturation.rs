@@ -11,14 +11,14 @@
 //! The second digest depends on which matches each rule finds first, so a
 //! change to the matcher's order (class order, node order within a class,
 //! pre-order child choice), to the union sequence or to class numbering
-//! fails here before it reaches a frontier. No run may stop on its wall-clock
-//! cap, so neither digest depends on machine speed.
+//! fails here before it reaches a frontier. The runner's limits all count
+//! work, so neither digest depends on machine speed.
 
 use chassis::isel::{InstructionSelector, TargetRules};
 use chassis::lang::expr_to_rec;
 use chassis::lower::variable_types;
 use chassis::Config;
-use egraph::{EGraph, Runner, RunnerLimits, StopReason};
+use egraph::{EGraph, Runner, RunnerLimits};
 use fpcore::hash::ContentHasher;
 use targets::builtin;
 
@@ -43,7 +43,6 @@ fn selector_digest_is_pinned() {
         for (target, selector) in targets.iter().zip(&selectors) {
             let result = selector.run(&core.body, &variable_types(&core), core.precision);
             let report = &result.report;
-            assert_ne!(report.stop_reason, StopReason::TimeLimit, "{}", bench.name);
             hasher.u64(report.iterations as u64);
             hasher.str(&format!("{:?}", report.stop_reason));
             hasher.u64(report.nodes as u64);
@@ -63,7 +62,6 @@ fn truncating_saturation_digest_is_pinned() {
         iter_limit: 3,
         node_limit: 3_000,
         match_limit: 8,
-        ..RunnerLimits::default()
     };
     let rule_sets = TARGETS.map(|name| {
         let rules = TargetRules::new(&builtin::by_name(name).unwrap()).unwrap();
@@ -76,7 +74,6 @@ fn truncating_saturation_digest_is_pinned() {
             let mut egraph = EGraph::default();
             egraph.add_expr(&expr_to_rec(&core.body));
             let report = Runner::with_limits(limits).run(&mut egraph, rule_set);
-            assert_ne!(report.stop_reason, StopReason::TimeLimit, "{}", bench.name);
             hasher.u64(report.applied as u64);
             for class in egraph.classes() {
                 hasher.u64(class.id.index() as u64);

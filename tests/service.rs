@@ -644,6 +644,58 @@ fn repeated_deadline_expiries_trip_a_per_client_circuit_breaker() {
 }
 
 #[test]
+fn an_expired_request_counts_once_toward_its_clients_breaker() {
+    // Every search is held 1 s at its head and the watchdog scans only every
+    // 500 ms, so a 150 ms deadline expires while its job is still parked. The
+    // waiting request answers its own 504 and counts the expiry once; with a
+    // breaker threshold of two, the same client must still be served.
+    let _plan = fault::install(fault::FaultPlan::new().arm(
+        "session.compile",
+        fault::FaultAction::Delay(1000),
+        0,
+    ));
+    let handle = start(ServerConfig {
+        watchdog_interval: Duration::from_millis(500),
+        breaker_threshold: 2,
+        ..small_server(None)
+    })
+    .unwrap();
+    let addr = handle.addr();
+    let expire = |seed: u64, who: &str| {
+        let body = compile_request_full(SQRT_CANCEL, "c99", seed, Some(who), Some(150));
+        let response = client::post_json(addr, "/compile", &body).unwrap();
+        assert_eq!(response.status, 504, "{}", response.body);
+        assert_eq!(kind_of(&Json::parse(&response.body).unwrap()), "deadline");
+    };
+
+    expire(9, "hurried");
+    // Wait for the abandoned job to end: it wakes from its delay, finds its
+    // search cancelled and counts it, long after any scan past the deadline.
+    let started = std::time::Instant::now();
+    while stat(addr, "cancelled") == 0 {
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "the cancelled job never ended"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let plain = compile_request_full(SQRT_CANCEL, "c99", 9, Some("hurried"), None);
+    let (status, doc) = post_compile(addr, &plain);
+    assert_eq!(status, 200, "one expiry must not open the breaker: {doc}");
+    assert_eq!(stat(addr, "breaker_rejected"), 0);
+
+    // The last waiter to leave also takes the flight out of the map: the
+    // identical request, sent while the cancelled job still sleeps, starts
+    // a fresh compile on the second worker instead of joining it.
+    expire(10, "late");
+    let patient = compile_request_full(SQRT_CANCEL, "c99", 10, Some("patient"), None);
+    let (status, doc) = post_compile(addr, &patient);
+    assert_eq!(status, 200, "{doc}");
+    assert_eq!(cache_of(&doc), "miss");
+    handle.stop();
+}
+
+#[test]
 fn a_dribbling_client_is_cut_off_by_the_header_deadline() {
     use std::io::{Read, Write};
     let _plan = fault::install(fault::FaultPlan::new());
