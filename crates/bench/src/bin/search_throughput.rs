@@ -34,7 +34,7 @@
 
 use chassis::{par, Config, SearchStats, Session};
 use chassis_bench::{
-    corpus_cores, flag_value, grid_mismatches, prior_history, HarnessOptions, ResultGrid,
+    corpus_cores, flag_value, grid_mismatches, ms, prior_history, HarnessOptions, ResultGrid,
 };
 use fpcore::FPCore;
 use std::time::{Duration, Instant};
@@ -118,10 +118,6 @@ fn assert_identical(reference: &Sweep, other: &Sweep) -> bool {
         eprintln!("error: {m} ({} vs {})", reference.label, other.label);
     }
     mismatches.is_empty()
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
 }
 
 fn sweep_json(s: &Sweep) -> String {

@@ -1,8 +1,8 @@
 //! Overload soak: more clients than workers hammer the daemon with fresh
 //! compiles under mixed deadlines while seeded latency faults (delays and
-//! one-shot stalls) run in the pipeline — the CI gate for the resilience
-//! tentpole (deadlines, cooperative cancellation, watchdog reclamation,
-//! circuit breaking; see `docs/RESILIENCE.md`).
+//! one-shot stalls) run in the pipeline — the CI gate for the daemon's
+//! resilience (deadlines, cooperative cancellation, watchdog reclamation;
+//! see `docs/RESILIENCE.md`).
 //!
 //! Phases, all against one daemon on one store:
 //!
@@ -16,8 +16,10 @@
 //!    [`fault::FaultPlan::seeded_latency`] plan arming `store.read`,
 //!    `store.write`, and `session.compile` (stalls only on the latter, where
 //!    the watchdog can reclaim the worker) plus a delay on `service.accept`.
-//!    Deadlines rotate per request: tight (sheds or expires), generous
-//!    (survives the queue), and none (must never be starved).
+//!    Ahead of the seeded arms, every round stalls its first
+//!    `session.compile`, so every round has a worker for the watchdog to
+//!    reclaim. Deadlines rotate per request: tight (sheds or expires),
+//!    generous (survives the queue), and none (must never be starved).
 //! 3. `recovery` after each round — the plan is dropped, the calibration set
 //!    is replayed, and in-flight must drain to zero: every answer a memory
 //!    hit, every answer 200.
@@ -32,6 +34,8 @@
 //! * every resolution is a 200 result or a *typed* JSON error
 //!   (`error.kind`); an untyped body or a transport failure after retries
 //!   fails;
+//! * every round's stalled worker is reclaimed: `workers_replaced` rises
+//!   within 4 × the generous deadline + 10 s of the round resolving;
 //! * every recovery sweep is all-200 with in-flight drained to 0 — stalled
 //!   workers must have been reclaimed, deadline-free traffic never starved;
 //! * with `--max-fast-p99-frac F`: final warm p99 ≤ F × calibration p50;
@@ -46,7 +50,9 @@
 //!     --limit 2 --rounds 2 --max-fast-p99-frac 0.5 --out BENCH_soak.json
 //! ```
 
-use chassis_bench::{corpus_cores, flag_value, prior_history, resolve_targets, HarnessOptions};
+use chassis_bench::{
+    corpus_cores, flag_value, ms, percentile, prior_history, resolve_targets, stat, HarnessOptions,
+};
 use fault::{FaultAction, FaultPlan};
 use fpcore::hash::canonical_text;
 use fpcore::FPCore;
@@ -142,18 +148,6 @@ struct Outcome {
     kind: String,
 }
 
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
 /// Serializes one compile request body the way the wire protocol spells it.
 fn request_body(
     core_text: &str,
@@ -194,21 +188,6 @@ fn classify(status: u16, body: &str) -> String {
         Some(kind) => kind.to_owned(),
         None => format!("untyped: status {status} without error.kind"),
     }
-}
-
-fn stat(addr: SocketAddr, field: &str) -> u64 {
-    let response = client::get(addr, "/stats").unwrap_or_else(|e| {
-        eprintln!("error: /stats failed: {e}");
-        std::process::exit(1);
-    });
-    let doc = Json::parse(&response.body).unwrap_or_else(|e| {
-        eprintln!("error: /stats is not JSON: {e}");
-        std::process::exit(1);
-    });
-    doc.get(field).and_then(Json::as_u64).unwrap_or_else(|| {
-        eprintln!("error: /stats missing {field}: {}", response.body);
-        std::process::exit(1);
-    })
 }
 
 /// Replays `bodies` serially, requiring a 200 for each; returns latencies.
@@ -299,15 +278,14 @@ fn main() {
 
     let disk = std::env::temp_dir().join(format!("chassis-serve-soak-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&disk);
-    // Aggressive watchdog/breaker settings: the soak wants reclamation and
-    // breaking to happen *within* the run, not on production timescales.
+    // Aggressive watchdog settings: the soak wants reclamation to happen
+    // *within* the run, not on production timescales.
     let daemon = service::start(ServerConfig {
         workers: options.workers,
         disk_dir: Some(disk.clone()),
         watchdog_interval: Duration::from_millis(25),
         stuck_multiple: 2,
         stuck_after: Duration::from_secs(3),
-        breaker_cooldown: Duration::from_millis(500),
         ..ServerConfig::default()
     })
     .unwrap_or_else(|e| {
@@ -340,24 +318,38 @@ fn main() {
         .mul_f64(4.0 * (n_round as f64 / calibration_bodies.len().max(1) as f64).max(1.0))
         + Duration::from_millis(4 * generous_ms)
         + Duration::from_secs(30);
+    // A stalled job is written off within 2 × its deadline budget, or 3 s
+    // without one: well inside this bound.
+    let reclaim_bound = Duration::from_millis(4 * generous_ms) + Duration::from_secs(10);
     let mut rounds: Vec<Round> = Vec::new();
     let mut untyped: Vec<String> = Vec::new();
     let mut starved: usize = 0;
     let mut total_fires = 0u64;
     for round in 0..options.rounds {
         let round_seed = seed ^ (0xB0B5_0000 + round as u64);
-        let plan = FaultPlan::seeded_latency(
+        let seeded = FaultPlan::seeded_latency(
             round_seed,
             // Stalls only where the watchdog owns the thread: a stalled
             // connection thread has no reclaimer, a stalled worker does.
             &["store.read", "store.write", "session.compile"],
             &["session.compile"],
-        )
-        .arm(
-            "service.accept",
-            FaultAction::Delay(10 + round_seed % 40),
-            round as u64 % 3,
         );
+        // The round's first compile stalls, so every round has a worker to
+        // reclaim. Arms are checked in order and the first that fires wins,
+        // so the stall goes ahead of any seeded arm on the same site.
+        let plan = seeded
+            .arms()
+            .iter()
+            .fold(
+                FaultPlan::new().arm("session.compile", FaultAction::Stall, 0),
+                |plan, arm| plan.arm(&arm.site, arm.action, arm.after),
+            )
+            .arm(
+                "service.accept",
+                FaultAction::Delay(10 + round_seed % 40),
+                round as u64 % 3,
+            );
+        let replaced_before = stat(addr, "workers_replaced");
         let armed = fault::install(plan);
         let completed = Arc::new(AtomicUsize::new(0));
         let outcomes: Arc<Mutex<Vec<Outcome>>> = Arc::new(Mutex::new(Vec::with_capacity(n_round)));
@@ -449,6 +441,22 @@ fn main() {
             let _ = handle.join();
         }
         let elapsed = round_started.elapsed();
+        // The stall holds its worker until the plan drops, so the watchdog
+        // must have reclaimed it first: otherwise nothing in the round showed
+        // that stuck-worker reclaim works.
+        let reclaim_started = Instant::now();
+        while stat(addr, "workers_replaced") <= replaced_before {
+            if reclaim_started.elapsed() > reclaim_bound {
+                eprintln!(
+                    "error: round {round}: no stalled worker was reclaimed {:.1} s after the \
+                     round resolved (watchdog_fired {})",
+                    reclaim_bound.as_secs_f64(),
+                    stat(addr, "watchdog_fired"),
+                );
+                std::process::exit(1);
+            }
+            std::thread::sleep(Duration::from_millis(25));
+        }
         let fires = armed.fires();
         drop(armed);
         total_fires += fires;
@@ -512,7 +520,6 @@ fn main() {
         "cancelled",
         "deadline_shed",
         "watchdog_fired",
-        "breaker_rejected",
         "workers_replaced",
         "queue_rejected",
         "uptime_ms",

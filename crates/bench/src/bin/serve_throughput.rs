@@ -40,7 +40,8 @@
 //! ```
 
 use chassis_bench::{
-    corpus_cores, flag_value, prior_history, resolve_targets, HarnessOptions, ResultGrid,
+    corpus_cores, flag_value, ms, percentile, prior_history, resolve_targets, stat, HarnessOptions,
+    ResultGrid,
 };
 use fpcore::hash::canonical_text;
 use fpcore::FPCore;
@@ -118,14 +119,6 @@ struct Sweep {
     responses: Vec<Json>,
     /// The `cache` tag distribution, e.g. `miss` → 12.
     tags: Vec<(String, usize)>,
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 impl Sweep {
@@ -274,25 +267,6 @@ fn daemon_matches_direct(requests: &[Replay], cold: &Sweep, grid: &ResultGrid) -
         }
     }
     ok
-}
-
-fn stat(addr: SocketAddr, field: &str) -> u64 {
-    let response = client::get(addr, "/stats").unwrap_or_else(|e| {
-        eprintln!("error: /stats failed: {e}");
-        std::process::exit(1);
-    });
-    let doc = Json::parse(&response.body).unwrap_or_else(|e| {
-        eprintln!("error: /stats is not JSON: {e}");
-        std::process::exit(1);
-    });
-    doc.get(field).and_then(Json::as_u64).unwrap_or_else(|| {
-        eprintln!("error: /stats missing {field}: {}", response.body);
-        std::process::exit(1);
-    })
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
 }
 
 fn sweep_json(s: &Sweep) -> String {

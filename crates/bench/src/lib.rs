@@ -10,6 +10,9 @@ use benchsuite::Benchmark;
 use chassis::baseline::herbie::transcribe;
 use chassis::{CompilationResult, CompileError, Config, Prepared, Session};
 use fpcore::FPCore;
+use service::{client, Json};
+use std::net::SocketAddr;
+use std::time::Duration;
 use targets::{builtin, program_cost, Target};
 
 /// One implementation's aggregate-relevant statistics.
@@ -413,6 +416,39 @@ pub fn prior_history(path: &str) -> Vec<String> {
         .map(|line| line.trim().trim_end_matches(',').to_owned())
         .filter(|line| line.starts_with('{'))
         .collect()
+}
+
+/// A duration in milliseconds, the unit every gate prints and archives.
+pub fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// The `p` quantile (0 to 1) of ascending `sorted` latencies, by nearest
+/// rank; zero when there are none.
+pub fn percentile(sorted: &[Duration], p: f64) -> Duration {
+    if sorted.is_empty() {
+        return Duration::ZERO;
+    }
+    let rank = ((sorted.len() - 1) as f64 * p).round() as usize;
+    sorted[rank.min(sorted.len() - 1)]
+}
+
+/// One counter from the daemon's `GET /stats` at `addr`. A gate cannot judge
+/// a run without it, so a failed request, a non-JSON body or a missing field
+/// exits 1.
+pub fn stat(addr: SocketAddr, field: &str) -> u64 {
+    let response = client::get(addr, "/stats").unwrap_or_else(|e| {
+        eprintln!("error: /stats failed: {e}");
+        std::process::exit(1);
+    });
+    let doc = Json::parse(&response.body).unwrap_or_else(|e| {
+        eprintln!("error: /stats is not JSON: {e}");
+        std::process::exit(1);
+    });
+    doc.get(field).and_then(Json::as_u64).unwrap_or_else(|| {
+        eprintln!("error: /stats missing {field}: {}", response.body);
+        std::process::exit(1);
+    })
 }
 
 /// Runs the full Chassis pipeline and returns the raw result (used by the case

@@ -277,27 +277,6 @@ impl Expr {
         Expr::op(op, vec![arg])
     }
 
-    /// Children of this node (empty for leaves).
-    pub fn children(&self) -> &[Expr] {
-        match self {
-            Expr::Num(_) | Expr::Var(_) => &[],
-            Expr::Op(_, args) => args,
-            Expr::If(_, _, _) => {
-                // `If` stores boxes, not a slice; callers use `children_vec` instead.
-                &[]
-            }
-        }
-    }
-
-    /// Children of this node as owned clones (works uniformly for `If`).
-    pub fn children_vec(&self) -> Vec<Expr> {
-        match self {
-            Expr::Num(_) | Expr::Var(_) => vec![],
-            Expr::Op(_, args) => args.clone(),
-            Expr::If(c, t, e) => vec![(**c).clone(), (**t).clone(), (**e).clone()],
-        }
-    }
-
     /// Number of nodes in the expression tree.
     pub fn size(&self) -> usize {
         1 + match self {

@@ -712,17 +712,6 @@ pub fn ground_truth(expr: &Expr, env: &[(Symbol, f64)], ty: FpType) -> GroundTru
     Evaluator::new().eval(expr, env, ty)
 }
 
-/// Computes the correctly rounded value with a caller-provided evaluator
-/// (e.g. one with a shorter precision ladder for speed).
-pub fn ground_truth_with(
-    evaluator: &Evaluator,
-    expr: &Expr,
-    env: &[(Symbol, f64)],
-    ty: FpType,
-) -> GroundTruth {
-    evaluator.eval(expr, env, ty)
-}
-
 /// The tree walk the memoized evaluator replaced, kept as the reference it
 /// is tested against: every node re-evaluated wherever it occurs.
 #[cfg(test)]

@@ -39,7 +39,5 @@ pub mod interval;
 
 pub use bigfloat::{pow2_f64, BigFloat, RoundMode};
 pub use bigint::BigUint;
-pub use eval::{
-    ground_truth, ground_truth_with, Evaluator, GroundTruth, Interned, Memo, TruthError,
-};
+pub use eval::{ground_truth, Evaluator, GroundTruth, Interned, Memo, TruthError};
 pub use interval::{BoolInterval, Interval};

@@ -3,13 +3,12 @@
 //! ```text
 //! serve [--addr HOST:PORT] [--workers N] [--capacity N] [--disk DIR]
 //!       [--max-queued N] [--sessions N] [--stuck-after SECS]
-//!       [--breaker-threshold N] [--breaker-cooldown-ms MS]
 //! ```
 //!
 //! Binds, prints the listening address (port 0 resolves to a free port), and
 //! runs until `POST /shutdown` or the process is killed. See
 //! `docs/SERVICE.md` for the wire protocol and a quick-start, and
-//! `docs/RESILIENCE.md` for the deadline/watchdog/breaker knobs.
+//! `docs/RESILIENCE.md` for deadlines and the stuck-worker watchdog.
 
 use service::{start, ServerConfig};
 use std::path::PathBuf;
@@ -19,8 +18,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--capacity N] \
-         [--disk DIR] [--max-queued N] [--sessions N] [--stuck-after SECS] \
-         [--breaker-threshold N] [--breaker-cooldown-ms MS]"
+         [--disk DIR] [--max-queued N] [--sessions N] [--stuck-after SECS]"
     );
     std::process::exit(2)
 }
@@ -55,13 +53,6 @@ fn main() -> ExitCode {
             "--sessions" => config.max_sessions = parsed("--sessions", args.next()),
             "--stuck-after" => {
                 config.stuck_after = Duration::from_secs(parsed("--stuck-after", args.next()));
-            }
-            "--breaker-threshold" => {
-                config.breaker_threshold = parsed("--breaker-threshold", args.next());
-            }
-            "--breaker-cooldown-ms" => {
-                config.breaker_cooldown =
-                    Duration::from_millis(parsed("--breaker-cooldown-ms", args.next()));
             }
             "--help" | "-h" => usage(),
             other => {

@@ -117,14 +117,6 @@ impl Json {
         }
     }
 
-    /// The `f64` payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(raw) => raw.parse::<f64>().ok(),
-            _ => None,
-        }
-    }
-
     /// The array elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

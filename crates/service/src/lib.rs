@@ -43,13 +43,12 @@
 //! ## Deadlines, cancellation, and overload (docs/RESILIENCE.md)
 //!
 //! A `POST /compile` may carry `deadline_ms`: the daemon sheds the request
-//! at admission when its deadline cannot survive the queue (504 +
-//! `Retry-After`) and caps the search's wall-clock budget to the remainder.
-//! Each waiting request answers its own deadline (504), and the last waiter
-//! to leave an unanswered job cancels its search cooperatively. A watchdog
-//! thread reclaims genuinely stuck workers, and a per-client circuit breaker
-//! sheds clients whose deadlines keep expiring. Every 503/504 carries
-//! `Retry-After`.
+//! at admission when its deadline has already passed (504) and caps the
+//! search's wall-clock budget to the remainder. Each waiting request answers
+//! its own deadline (504), and the last waiter to leave an unanswered job
+//! cancels its search cooperatively. A full queue answers 503, and a
+//! watchdog thread reclaims genuinely stuck workers. Every 503/504 carries
+//! `Retry-After: 1`.
 
 pub mod client;
 pub mod http;

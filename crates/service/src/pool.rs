@@ -145,7 +145,8 @@ impl Pool {
     }
 
     /// Jobs currently queued (not yet picked up by a worker).
-    pub fn queued(&self) -> usize {
+    #[cfg(test)]
+    fn queued(&self) -> usize {
         lock(&self.inner.sched).queued
     }
 

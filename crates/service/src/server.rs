@@ -86,11 +86,6 @@ pub struct ServerConfig {
     pub stuck_multiple: u32,
     /// A job *without* a deadline is written off as stuck after this long.
     pub stuck_after: Duration,
-    /// Consecutive deadline expiries from one client before its circuit
-    /// breaker opens.
-    pub breaker_threshold: u32,
-    /// How long an open breaker rejects that client's compiles (503).
-    pub breaker_cooldown: Duration,
 }
 
 impl Default for ServerConfig {
@@ -108,8 +103,6 @@ impl Default for ServerConfig {
             watchdog_interval: Duration::from_millis(50),
             stuck_multiple: 4,
             stuck_after: Duration::from_secs(600),
-            breaker_threshold: 4,
-            breaker_cooldown: Duration::from_secs(2),
         }
     }
 }
@@ -262,12 +255,10 @@ struct Counters {
     panics_recovered: AtomicU64,
     /// Searches cancelled mid-flight (deadline expiry or all waiters gone).
     cancelled: AtomicU64,
-    /// Requests shed at admission: their deadline could not survive the queue.
+    /// Requests shed at admission: their deadline had already passed.
     deadline_shed: AtomicU64,
     /// Stuck workers written off and replaced by the watchdog.
     watchdog_fired: AtomicU64,
-    /// Compiles rejected because the client's circuit breaker was open.
-    breaker_rejected: AtomicU64,
     jobs_failed: [AtomicU64; 5],
 }
 
@@ -292,7 +283,6 @@ const KIND_NAMES: [&str; 5] = [
 /// Watchdog bookkeeping for one submitted compile job.
 struct InflightJob {
     key: String,
-    client: String,
     flight: Arc<Flight>,
     accepted: Instant,
     deadline: Option<Instant>,
@@ -301,14 +291,6 @@ struct InflightJob {
     /// The watchdog wrote this worker off as stuck: its pool slot was
     /// replaced, and the worker retires when (if) the job finally returns.
     abandoned: AtomicBool,
-}
-
-/// Per-client circuit breaker: repeated consecutive deadline expiries open
-/// it, and an open breaker sheds that client's compiles for a cooldown.
-#[derive(Default)]
-struct Breaker {
-    consecutive_expiries: u32,
-    open_until: Option<Instant>,
 }
 
 struct ServerState {
@@ -323,11 +305,7 @@ struct ServerState {
     /// Jobs registered for the watchdog, keyed by a monotonic id.
     inflight: Mutex<HashMap<u64, Arc<InflightJob>>>,
     next_job: AtomicU64,
-    breakers: Mutex<HashMap<String, Breaker>>,
     started: Instant,
-    /// EWMA of successful job durations (nanoseconds), for the admission
-    /// controller's queue-wait estimate. Zero until the first completion.
-    avg_job_nanos: AtomicU64,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -378,60 +356,6 @@ impl ServerState {
 
     fn untrack(&self, id: u64) {
         lock(&self.inflight).remove(&id);
-    }
-
-    /// Estimated wait before a newly queued job starts running: queue depth
-    /// over worker count, times the EWMA of past job durations. Zero until
-    /// the first job completes (optimistic: with no history, admit).
-    fn estimated_queue_wait(&self) -> Duration {
-        let queued = lock(&self.pool).as_ref().map_or(0, Pool::queued);
-        if queued == 0 {
-            return Duration::ZERO;
-        }
-        let avg = Duration::from_nanos(self.avg_job_nanos.load(Ordering::Relaxed));
-        avg.mul_f64(queued as f64 / self.config.workers.max(1) as f64)
-    }
-
-    fn note_job_duration(&self, took: Duration) {
-        let nanos = u64::try_from(took.as_nanos()).unwrap_or(u64::MAX);
-        let old = self.avg_job_nanos.load(Ordering::Relaxed);
-        let next = if old == 0 {
-            nanos
-        } else {
-            (old / 8).saturating_mul(7).saturating_add(nanos / 8)
-        };
-        self.avg_job_nanos.store(next.max(1), Ordering::Relaxed);
-    }
-
-    /// Whether `client`'s breaker is open; returns the remaining cooldown in
-    /// whole seconds (at least 1) when it is. An elapsed cooldown closes the
-    /// breaker and resets its expiry streak.
-    fn breaker_open(&self, client: &str) -> Option<u64> {
-        let mut breakers = lock(&self.breakers);
-        let breaker = breakers.get_mut(client)?;
-        let until = breaker.open_until?;
-        let now = Instant::now();
-        if now >= until {
-            breaker.open_until = None;
-            breaker.consecutive_expiries = 0;
-            return None;
-        }
-        Some((until - now).as_secs().max(1))
-    }
-
-    /// One deadline expiry for `client`; enough in a row trips its breaker.
-    fn note_expiry(&self, client: &str) {
-        let mut breakers = lock(&self.breakers);
-        let breaker = breakers.entry(client.to_owned()).or_default();
-        breaker.consecutive_expiries += 1;
-        if breaker.consecutive_expiries >= self.config.breaker_threshold.max(1) {
-            breaker.open_until = Some(Instant::now() + self.config.breaker_cooldown);
-        }
-    }
-
-    /// A completed (uncancelled) compile for `client` resets its breaker.
-    fn note_success(&self, client: &str) {
-        lock(&self.breakers).remove(client);
     }
 }
 
@@ -542,9 +466,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<Handle> {
         shutdown: AtomicBool::new(false),
         inflight: Mutex::new(HashMap::new()),
         next_job: AtomicU64::new(0),
-        breakers: Mutex::new(HashMap::new()),
         started: Instant::now(),
-        avg_job_nanos: AtomicU64::new(0),
     });
     let accept_state = Arc::clone(&state);
     let accept = std::thread::Builder::new()
@@ -657,30 +579,16 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
     }
 }
 
-/// A routed response: status, JSON body, and an optional explicit
-/// `Retry-After` (seconds). Overload answers (503/504) without an explicit
-/// value still get `Retry-After: 1` at write time.
+/// A routed response: status and JSON body. Overload answers (503/504) get
+/// `Retry-After: 1` at write time.
 struct Reply {
     status: u16,
     body: String,
-    retry_after: Option<u64>,
 }
 
 impl Reply {
     fn new(status: u16, body: String) -> Reply {
-        Reply {
-            status,
-            body,
-            retry_after: None,
-        }
-    }
-
-    fn retry(status: u16, body: String, after: u64) -> Reply {
-        Reply {
-            status,
-            body,
-            retry_after: Some(after),
-        }
+        Reply { status, body }
     }
 }
 
@@ -760,11 +668,8 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>) {
         };
         // Every overload answer carries a Retry-After, so a well-behaved
         // client backs off instead of hammering.
-        let retry_after = reply
-            .retry_after
-            .or_else(|| (reply.status == 503 || reply.status == 504).then_some(1));
-        let extra: Vec<(&str, String)> = retry_after
-            .map(|secs| ("Retry-After", secs.to_string()))
+        let extra: Vec<(&str, String)> = matches!(reply.status, 503 | 504)
+            .then(|| ("Retry-After", "1".to_owned()))
             .into_iter()
             .collect();
         if write_response(
@@ -890,24 +795,6 @@ fn handle_compile(
         return bad(&format!("unknown target {target_name:?}"));
     };
 
-    // A client whose deadlines keep expiring gets shed outright until its
-    // breaker cools down — protecting everyone else's queue time.
-    if let Some(cooldown) = state.breaker_open(client) {
-        state
-            .counters
-            .breaker_rejected
-            .fetch_add(1, Ordering::Relaxed);
-        return Reply::retry(
-            503,
-            error_body(
-                None,
-                "breaker-open",
-                "circuit breaker open: too many consecutive deadline expiries",
-            ),
-            cooldown,
-        );
-    }
-
     let key = content_key(&core, &target, seed, config_name);
 
     // Level 1 + 2: the content-addressed store (cheap — served regardless of
@@ -916,24 +803,15 @@ fn handle_compile(
         return Reply::new(200, with_cache(&body, cache_tag(hit)));
     }
 
-    // Admission control: if the queue is long enough that this job cannot
-    // plausibly start before its deadline, shed it now (504, never cached)
-    // instead of letting it hold a queue slot it can never use.
-    if let Some(deadline) = deadline {
-        let est = state.estimated_queue_wait();
-        if Instant::now() + est >= deadline {
-            state.counters.deadline_shed.fetch_add(1, Ordering::Relaxed);
-            state.note_expiry(client);
-            return Reply::retry(
-                504,
-                error_body(
-                    Some(&key),
-                    "deadline",
-                    "deadline expires before the job could start",
-                ),
-                est.as_secs().clamp(1, 30),
-            );
-        }
+    // Admission control: a deadline that has already passed is shed now
+    // (504, never cached) instead of holding a queue slot it can never use.
+    // A deadline still ahead is answered by this request's own wait.
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        state.counters.deadline_shed.fetch_add(1, Ordering::Relaxed);
+        return Reply::new(
+            504,
+            error_body(Some(&key), "deadline", "deadline expired before admission"),
+        );
     }
 
     // Level 3: coalesce onto an in-flight job for the same key. Joining
@@ -946,15 +824,7 @@ fn handle_compile(
             existing.join();
             drop(flights);
             state.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-            return finish_wait(
-                state,
-                &existing,
-                deadline,
-                client_gone,
-                client,
-                &key,
-                "coalesced",
-            );
+            return finish_wait(state, &existing, deadline, client_gone, &key, "coalesced");
         }
         let flight = Arc::new(Flight::new());
         flight.join();
@@ -966,7 +836,6 @@ fn handle_compile(
     // watchdog, which reclaims its worker if the job wedges.
     let job = Arc::new(InflightJob {
         key: key.clone(),
-        client: client.to_owned(),
         flight: Arc::clone(&flight),
         accepted: received,
         deadline,
@@ -999,46 +868,32 @@ fn handle_compile(
         let body = error_body(Some(&key), "resource-exhausted", "compile queue is full");
         flight.fill(503, body.clone());
         leave_flight(state, &key, &flight);
-        return Reply::retry(503, body, 1);
+        return Reply::new(503, body);
     }
     state.counters.compiles.fetch_add(1, Ordering::Relaxed);
-    finish_wait(state, &flight, deadline, client_gone, client, &key, "miss")
+    finish_wait(state, &flight, deadline, client_gone, &key, "miss")
 }
 
 /// Waits on a flight as one counted waiter, honouring the request's own
 /// deadline and the client-liveness probe: the one place a request's
-/// deadline is answered and counted toward its client's breaker. The waiter
-/// always leaves ([`leave_flight`]) — the last one out of an unanswered
-/// flight cancels the search.
+/// deadline is answered. The waiter always leaves ([`leave_flight`]) — the
+/// last one out of an unanswered flight cancels the search.
 fn finish_wait(
     state: &Arc<ServerState>,
     flight: &Arc<Flight>,
     deadline: Option<Instant>,
     client_gone: &dyn Fn() -> bool,
-    client: &str,
     key: &str,
     how: &str,
 ) -> Reply {
     let outcome = flight.wait_until(deadline, client_gone);
     leave_flight(state, key, flight);
     match outcome {
-        Ok((status, body)) => {
-            // The job answers 504 once the deadline it inherited has passed;
-            // if that beat this wait's own timer, it is still this request's
-            // expiry.
-            if status == 504 && deadline.is_some_and(|d| Instant::now() >= d) {
-                state.note_expiry(client);
-            }
-            Reply::new(status, with_cache(&body, how))
-        }
-        Err(Abandoned::Deadline) => {
-            state.note_expiry(client);
-            Reply::retry(
-                504,
-                error_body(Some(key), "deadline", "deadline expired before completion"),
-                1,
-            )
-        }
+        Ok((status, body)) => Reply::new(status, with_cache(&body, how)),
+        Err(Abandoned::Deadline) => Reply::new(
+            504,
+            error_body(Some(key), "deadline", "deadline expired before completion"),
+        ),
         // Nobody is left to read this; the connection write will fail.
         Err(Abandoned::ClientGone) => Reply::new(
             503,
@@ -1116,8 +971,6 @@ fn compile_job(
     let missed_deadline = job.deadline.is_some_and(|d| Instant::now() >= d);
     let (status, body) = match outcome {
         Ok(result) if !was_cancelled && !missed_deadline => {
-            state.note_job_duration(begun.elapsed());
-            state.note_success(&job.client);
             let body = result_body(&job.key, core, &target.name, seed, config_name, &result);
             state.store.put(&job.key, &body);
             (200, body)
@@ -1323,10 +1176,6 @@ fn stats_body(state: &Arc<ServerState>) -> String {
         (
             "watchdog_fired".to_owned(),
             n(c.watchdog_fired.load(Ordering::Relaxed)),
-        ),
-        (
-            "breaker_rejected".to_owned(),
-            n(c.breaker_rejected.load(Ordering::Relaxed)),
         ),
         ("workers_replaced".to_owned(), n(replaced)),
         ("inflight".to_owned(), n(lock(&state.inflight).len() as u64)),

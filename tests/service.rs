@@ -533,8 +533,8 @@ fn an_unmeetable_deadline_is_shed_with_a_typed_504_and_never_cached() {
 fn a_stalled_job_is_reclaimed_by_the_watchdog_while_others_complete() {
     // One worker, and a Stall armed on the first `session.compile` hit: job
     // A wedges its worker until the plan is dropped. Its deadline must still
-    // be answered (504, by the watchdog — the worker can't), the watchdog
-    // must then write the worker off and replace it, and a concurrent
+    // be answered (504, by the request's own wait — the worker can't), the
+    // watchdog must then write the worker off and replace it, and a concurrent
     // no-deadline request must complete on the replacement — bit-identical
     // to a direct in-process compile.
     let plan = fault::install(fault::FaultPlan::new().arm(
@@ -601,54 +601,11 @@ fn a_stalled_job_is_reclaimed_by_the_watchdog_while_others_complete() {
 }
 
 #[test]
-fn repeated_deadline_expiries_trip_a_per_client_circuit_breaker() {
-    let _plan = fault::install(fault::FaultPlan::new());
-    let config = ServerConfig {
-        breaker_threshold: 2,
-        breaker_cooldown: Duration::from_millis(400),
-        ..small_server(None)
-    };
-    let handle = start(config).unwrap();
-    let addr = handle.addr();
-
-    // Two consecutive hopeless deadlines from one client trip its breaker.
-    for _ in 0..2 {
-        let body = compile_request_full(SQRT_CANCEL, "arith", 31, Some("impatient"), Some(0));
-        let response = client::post_json(addr, "/compile", &body).unwrap();
-        assert_eq!(response.status, 504, "{}", response.body);
-    }
-    // Now even a deadline-free request from that client is shed while the
-    // breaker cools down...
-    let plain = compile_request_full(SQRT_CANCEL, "arith", 31, Some("impatient"), None);
-    let response = client::post_json(addr, "/compile", &plain).unwrap();
-    assert_eq!(response.status, 503, "{}", response.body);
-    assert_eq!(
-        kind_of(&Json::parse(&response.body).unwrap()),
-        "breaker-open"
-    );
-    assert!(response.retry_after.is_some());
-    assert_eq!(stat(addr, "breaker_rejected"), 1);
-
-    // ...while other clients are untouched.
-    let other = compile_request_full(SQRT_CANCEL, "arith", 31, Some("patient"), None);
-    let (status, doc) = post_compile(addr, &other);
-    assert_eq!(status, 200, "{doc}");
-
-    // After the cooldown the breaker closes and the client is served again
-    // (from cache, even: the patient client already paid for the search).
-    std::thread::sleep(Duration::from_millis(500));
-    let (status, doc) = post_compile(addr, &plain);
-    assert_eq!(status, 200, "{doc}");
-    assert_eq!(cache_of(&doc), "memory");
-    handle.stop();
-}
-
-#[test]
-fn an_expired_request_counts_once_toward_its_clients_breaker() {
-    // Every search is held 1 s at its head and the watchdog scans only every
-    // 500 ms, so a 150 ms deadline expires while its job is still parked. The
-    // waiting request answers its own 504 and counts the expiry once; with a
-    // breaker threshold of two, the same client must still be served.
+fn the_last_expired_waiter_cancels_the_job_and_removes_its_flight() {
+    // Every search is held 1 s at its head, so a 150 ms deadline expires
+    // while its job is still parked, and the waiting request answers its own
+    // 504. The watchdog scans only every 500 ms, which allows a job at least
+    // 2 s before it counts as stuck, so it never steps in.
     let _plan = fault::install(fault::FaultPlan::new().arm(
         "session.compile",
         fault::FaultAction::Delay(1000),
@@ -656,7 +613,6 @@ fn an_expired_request_counts_once_toward_its_clients_breaker() {
     ));
     let handle = start(ServerConfig {
         watchdog_interval: Duration::from_millis(500),
-        breaker_threshold: 2,
         ..small_server(None)
     })
     .unwrap();
@@ -669,8 +625,8 @@ fn an_expired_request_counts_once_toward_its_clients_breaker() {
     };
 
     expire(9, "hurried");
-    // Wait for the abandoned job to end: it wakes from its delay, finds its
-    // search cancelled and counts it, long after any scan past the deadline.
+    // Its only waiter left, so the job's search was cancelled: it wakes from
+    // its delay, finds the token fired and counts it, storing nothing.
     let started = std::time::Instant::now();
     while stat(addr, "cancelled") == 0 {
         assert!(
@@ -681,8 +637,8 @@ fn an_expired_request_counts_once_toward_its_clients_breaker() {
     }
     let plain = compile_request_full(SQRT_CANCEL, "c99", 9, Some("hurried"), None);
     let (status, doc) = post_compile(addr, &plain);
-    assert_eq!(status, 200, "one expiry must not open the breaker: {doc}");
-    assert_eq!(stat(addr, "breaker_rejected"), 0);
+    assert_eq!(status, 200, "{doc}");
+    assert_eq!(cache_of(&doc), "miss", "a cancelled search is never stored");
 
     // The last waiter to leave also takes the flight out of the map: the
     // identical request, sent while the cancelled job still sleeps, starts
@@ -690,6 +646,64 @@ fn an_expired_request_counts_once_toward_its_clients_breaker() {
     expire(10, "late");
     let patient = compile_request_full(SQRT_CANCEL, "c99", 10, Some("patient"), None);
     let (status, doc) = post_compile(addr, &patient);
+    assert_eq!(status, 200, "{doc}");
+    assert_eq!(cache_of(&doc), "miss");
+    handle.stop();
+}
+
+#[test]
+fn a_full_queue_answers_a_typed_503_and_caches_nothing() {
+    // One worker and a queue of one. A's search stalls at its head and holds
+    // the worker; B fills the queue; C, which finds it full, must be turned
+    // away at once with a typed 503 instead of waiting behind B. Its deadline
+    // is there so that a daemon that queued it anyway answers 504, not hangs.
+    let plan = fault::install(fault::FaultPlan::new().arm(
+        "session.compile",
+        fault::FaultAction::Stall,
+        0,
+    ));
+    let handle = start(ServerConfig {
+        workers: 1,
+        max_queued: 1,
+        ..small_server(None)
+    })
+    .unwrap();
+    let addr = handle.addr();
+    let in_background = |seed: u64| {
+        let body = compile_request(SQRT_CANCEL, "c99", seed);
+        std::thread::spawn(move || post_compile(addr, &body))
+    };
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let started = std::time::Instant::now();
+        while !done() {
+            assert!(started.elapsed() < Duration::from_secs(60), "{what}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    };
+
+    let a = in_background(61);
+    wait_for("A never reached the compile head", &|| plan.fires() >= 1);
+    let b = in_background(62);
+    wait_for("B never queued", &|| stat(addr, "inflight") == 2);
+
+    let c = compile_request_full(SQRT_CANCEL, "c99", 63, None, Some(2_000));
+    let response = client::post_json(addr, "/compile", &c).unwrap();
+    assert_eq!(response.status, 503, "{}", response.body);
+    assert_eq!(response.retry_after, Some(1));
+    assert_eq!(
+        kind_of(&Json::parse(&response.body).unwrap()),
+        "resource-exhausted"
+    );
+    assert_eq!(stat(addr, "queue_rejected"), 1);
+
+    // Released, the worker finishes A and then B; C was never cached, so
+    // sent again it compiles.
+    drop(plan);
+    for (name, request) in [("A", a), ("B", b)] {
+        let (status, doc) = request.join().unwrap();
+        assert_eq!(status, 200, "{name}: {doc}");
+    }
+    let (status, doc) = post_compile(addr, &c);
     assert_eq!(status, 200, "{doc}");
     assert_eq!(cache_of(&doc), "miss");
     handle.stop();
