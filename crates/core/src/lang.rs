@@ -134,19 +134,6 @@ impl Language for ChassisNode {
             ChassisNode::If(c) => c,
         }
     }
-
-    fn matches_op(&self, other: &Self) -> bool {
-        match (self, other) {
-            (ChassisNode::Num(a), ChassisNode::Num(b)) => a == b,
-            (ChassisNode::Var(a), ChassisNode::Var(b)) => a == b,
-            (ChassisNode::Real(a, ca), ChassisNode::Real(b, cb)) => a == b && ca.len() == cb.len(),
-            (ChassisNode::Float(a, ca), ChassisNode::Float(b, cb)) => {
-                a == b && ca.len() == cb.len()
-            }
-            (ChassisNode::If(_), ChassisNode::If(_)) => true,
-            _ => false,
-        }
-    }
 }
 
 /// Converts a real expression into a flattened [`RecExpr`] over [`ChassisNode`]s.
@@ -277,16 +264,24 @@ mod tests {
 
     #[test]
     fn matches_op_distinguishes_operators() {
+        // The e-graph's operator key: the node with its children zeroed.
+        let key = |node: ChassisNode| node.map_children(|_| Id::from(0usize));
         let ids = |a: usize, b: usize| Children::from([Id::from(a), Id::from(b)]);
         let a = ChassisNode::Real(RealOp::Add, ids(0, 1));
         let b = ChassisNode::Real(RealOp::Add, ids(2, 3));
         let c = ChassisNode::Real(RealOp::Mul, ids(0, 1));
-        assert!(a.matches_op(&b));
-        assert!(!a.matches_op(&c));
+        assert_eq!(key(a), key(b));
+        assert_ne!(key(a), key(c));
         let f = ChassisNode::Float(OpId(0), Children::from([Id::from(0usize)]));
         let g = ChassisNode::Float(OpId(1), Children::from([Id::from(0usize)]));
-        assert!(!f.matches_op(&g));
-        assert!(!f.matches_op(&a));
+        assert_ne!(key(f), key(g));
+        assert_ne!(key(f), key(a));
+        // The arity is part of the operator.
+        let unary = ChassisNode::Real(RealOp::Sub, Children::from([Id::from(1usize)]));
+        assert_ne!(key(unary), key(ChassisNode::Real(RealOp::Sub, ids(1, 2))));
+        let if_a = ChassisNode::If([Id::from(0usize), Id::from(1usize), Id::from(2usize)]);
+        let if_b = ChassisNode::If([Id::from(3usize), Id::from(4usize), Id::from(5usize)]);
+        assert_eq!(key(if_a), key(if_b));
     }
 
     /// `ChassisNode` as it was with heap-allocated children: the reference

@@ -214,53 +214,6 @@ impl<L: Language> EGraph<L> {
         }
         changed
     }
-
-    /// Extracts *some* concrete term from the class of `id` (the first found by a
-    /// depth-first walk that avoids cycles). Mostly useful for debugging; this
-    /// crate has no cost-aware extraction (Chassis brings its own typed one).
-    pub fn any_term(&self, id: Id) -> Option<RecExpr<L>> {
-        fn go<L: Language>(
-            eg: &EGraph<L>,
-            id: Id,
-            seen: &mut Vec<Id>,
-            out: &mut RecExpr<L>,
-        ) -> Option<Id> {
-            let id = eg.find(id);
-            if seen.contains(&id) {
-                return None;
-            }
-            seen.push(id);
-            // Prefer leaves so the walk terminates quickly.
-            let mut nodes: Vec<&L> = eg.class(id).nodes.iter().collect();
-            nodes.sort_by_key(|n| n.children().len());
-            for node in nodes {
-                let mut child_ids = Vec::with_capacity(node.children().len());
-                let mut ok = true;
-                for &c in node.children() {
-                    match go(eg, c, seen, out) {
-                        Some(cid) => child_ids.push(cid),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    let new_node = node.map_children(|c| {
-                        let idx = node.children().iter().position(|&x| x == c).unwrap();
-                        child_ids[idx]
-                    });
-                    seen.pop();
-                    return Some(out.add(new_node));
-                }
-            }
-            seen.pop();
-            None
-        }
-        let mut out = RecExpr::new();
-        let mut seen = Vec::new();
-        go(self, id, &mut seen, &mut out).map(|_| out)
-    }
 }
 
 #[cfg(test)]
@@ -329,16 +282,14 @@ mod tests {
     }
 
     #[test]
-    fn add_expr_and_any_term() {
+    fn add_expr_adds_each_node() {
         let mut eg = EG::default();
         let mut expr = RecExpr::new();
         let x = expr.add(TestLang::Var("x"));
         let one = expr.add(TestLang::Num(1));
         let _sum = expr.add(TestLang::Add([x, one]));
-        let root = eg.add_expr(&expr);
+        eg.add_expr(&expr);
         assert_eq!(eg.number_of_nodes(), 3);
-        let term = eg.any_term(root).expect("extractable term");
-        assert_eq!(term.tree_size(term.root()), 3);
     }
 
     #[test]
@@ -357,8 +308,8 @@ mod tests {
 
     #[test]
     fn self_cycle_via_union_is_handled() {
-        // Create x + 0 and union it with x, producing a cyclic class; any_term
-        // must still terminate and produce a finite term.
+        // Create x + 0 and union it with x, producing a cyclic class; the
+        // rebuild must still reach a fixed point.
         let mut eg = EG::default();
         let x = eg.add(TestLang::Var("x"));
         let zero = eg.add(TestLang::Num(0));
@@ -366,7 +317,5 @@ mod tests {
         eg.union(sum, x);
         eg.rebuild();
         assert_eq!(eg.find(sum), eg.find(x));
-        let term = eg.any_term(x).expect("finite term");
-        assert!(term.len() <= 3);
     }
 }

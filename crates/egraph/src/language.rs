@@ -40,25 +40,19 @@ impl fmt::Display for Id {
 /// An e-node is an operator applied to e-class children. Implementations store
 /// children as `Id`s and expose them through [`children`](Language::children) /
 /// [`children_mut`](Language::children_mut). Equality and hashing must take the
-/// operator *and* the children into account (derive them); the extra
-/// [`matches_op`](Language::matches_op) method compares only the operator part and
-/// is used by e-matching.
+/// operator *and* the children into account (derive them).
+///
+/// Two e-nodes have the same operator exactly when they are equal once every
+/// child of both is replaced by the same id, and e-nodes with the same
+/// operator have the same number of children. E-matching relies on this: the
+/// [`crate::OpIndex`] files each e-node under its copy with children zeroed,
+/// and a pattern node reads only the e-nodes filed under its own.
 pub trait Language: Clone + Eq + std::hash::Hash + Ord + fmt::Debug {
     /// The children e-classes of this e-node.
     fn children(&self) -> &[Id];
 
     /// Mutable access to the children (used for canonicalization).
     fn children_mut(&mut self) -> &mut [Id];
-
-    /// True when `self` and `other` are the same operator with the same arity,
-    /// ignoring the children.
-    ///
-    /// This must agree with equality of the two nodes once every child of
-    /// both is replaced by the same id: the [`crate::OpIndex`] files each
-    /// class under its e-nodes with children zeroed, and a pattern is sent
-    /// only to the classes filed under its zeroed root. A `matches_op` that
-    /// is looser than that equality would make searches miss matches.
-    fn matches_op(&self, other: &Self) -> bool;
 
     /// True for e-nodes without children.
     fn is_leaf(&self) -> bool {
@@ -200,17 +194,6 @@ pub(crate) mod testlang {
                 TestLang::Neg(c) => c,
             }
         }
-
-        fn matches_op(&self, other: &Self) -> bool {
-            match (self, other) {
-                (TestLang::Num(a), TestLang::Num(b)) => a == b,
-                (TestLang::Var(a), TestLang::Var(b)) => a == b,
-                (TestLang::Add(_), TestLang::Add(_)) => true,
-                (TestLang::Mul(_), TestLang::Mul(_)) => true,
-                (TestLang::Neg(_), TestLang::Neg(_)) => true,
-                _ => false,
-            }
-        }
     }
 }
 
@@ -244,7 +227,6 @@ mod tests {
         let node = TestLang::Add([Id::from(0usize), Id::from(1usize)]);
         let mapped = node.map_children(|id| Id::from(id.index() + 10));
         assert_eq!(mapped.children(), &[Id::from(10usize), Id::from(11usize)]);
-        assert!(node.matches_op(&mapped));
         assert!(!node.is_leaf());
         assert!(TestLang::Num(3).is_leaf());
     }

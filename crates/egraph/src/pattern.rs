@@ -1,5 +1,6 @@
 //! Syntactic patterns over a [`Language`], compiled once into numbered
-//! variable slots, and the depth-first e-matcher that searches them.
+//! variable slots and operator keys, the operator index of an e-graph's
+//! e-nodes, and the depth-first e-matcher that searches one with the other.
 
 use crate::egraph::EGraph;
 use crate::hash::FxHashMap;
@@ -33,11 +34,12 @@ pub enum PatternNode<L> {
     ENode(L),
 }
 
-/// A compiled pattern node: variables are replaced by their slot.
+/// A compiled pattern node: variables are replaced by their slot, and each
+/// e-node carries the number of its operator in [`Pattern::ops`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 enum Node<L> {
     Slot(usize),
-    ENode(L),
+    ENode(L, usize),
 }
 
 /// A pattern: a flattened tree of nodes, root last, whose variables are
@@ -48,9 +50,9 @@ enum Node<L> {
 pub struct Pattern<L> {
     nodes: Vec<Node<L>>,
     vars: Vec<PatVar>,
-    /// The root operator with its children zeroed: the [`OpIndex`] key of
-    /// the classes a match can start in. `None` for a variable root.
-    root_op: Option<L>,
+    /// The distinct operators of the pattern's e-nodes as [`OpIndex`] keys
+    /// (children zeroed), the root's first. A search looks each up once.
+    ops: Vec<L>,
 }
 
 impl<L: Language> Pattern<L> {
@@ -62,6 +64,19 @@ impl<L: Language> Pattern<L> {
     /// Panics if the node list is empty or contains a forward reference.
     pub fn from_nodes(nodes: Vec<PatternNode<L>>) -> Pattern<L> {
         assert!(!nodes.is_empty(), "a pattern needs at least one node");
+        // Operators are numbered from the root down, so a search that finds
+        // no e-node of the root's operator stops at its first lookup.
+        let mut ops: Vec<L> = Vec::new();
+        let mut op_of = vec![0; nodes.len()];
+        for (i, node) in nodes.iter().enumerate().rev() {
+            if let PatternNode::ENode(e) = node {
+                let key = op_key(e);
+                op_of[i] = ops.iter().position(|op| *op == key).unwrap_or_else(|| {
+                    ops.push(key);
+                    ops.len() - 1
+                });
+            }
+        }
         let mut vars: Vec<PatVar> = Vec::new();
         let nodes: Vec<Node<L>> = nodes
             .into_iter()
@@ -81,19 +96,11 @@ impl<L: Language> Pattern<L> {
                             "pattern children must reference earlier nodes"
                         );
                     }
-                    Node::ENode(e)
+                    Node::ENode(e, op_of[i])
                 }
             })
             .collect();
-        let root_op = match nodes.last() {
-            Some(Node::ENode(e)) => Some(op_key(e)),
-            _ => None,
-        };
-        Pattern {
-            nodes,
-            vars,
-            root_op,
-        }
+        Pattern { nodes, vars, ops }
     }
 
     /// A pattern consisting of a single metavariable.
@@ -106,57 +113,79 @@ impl<L: Language> Pattern<L> {
         &self.vars
     }
 
-    /// Searches the e-graph for matches of the pattern's root, visiting only
-    /// the classes `index` lists for the root operator (every class for a
-    /// variable root), in ascending id. Stops after `limit` matches, which
-    /// are then exactly the first `limit` of the unlimited search.
+    /// Searches the e-graph for matches of the pattern, stopping after
+    /// `limit` matches, which are then exactly the first `limit` of the
+    /// unlimited search.
     ///
-    /// `index` must have been built from `egraph` since its last change.
-    /// When no class holds the root operator, as for most rules in most
-    /// iterations, the search returns at once without allocating.
-    pub fn search(&self, egraph: &EGraph<L>, index: &OpIndex<L>, limit: usize) -> Matches {
-        match &self.root_op {
-            Some(op) => match index.classes(op) {
-                [] => Matches::none(self.vars.len()),
-                classes => self.search_classes(egraph, classes.iter().copied(), limit),
-            },
-            None => self.search_classes(egraph, egraph.classes().map(|c| c.id), limit),
-        }
-    }
-
-    /// Searches the given classes in the given order, stopping after `limit`
-    /// matches.
-    ///
-    /// Matches come in a fixed order: by class in the order given, then by
+    /// Matches come in a fixed order: by root class in ascending id, then by
     /// e-node order within each class, then lexicographically by the e-node
     /// chosen at each nested pattern node, taken in pre-order. The runner's
     /// truncation at its match limit, and so every union it makes, rests on
     /// this order.
-    pub fn search_classes(
-        &self,
-        egraph: &EGraph<L>,
-        classes: impl IntoIterator<Item = Id>,
-        limit: usize,
-    ) -> Matches {
+    ///
+    /// Each pattern node reads only the e-nodes of its own operator from
+    /// `index`, which must have been built from `egraph`: the root walks its
+    /// operator's runs, a nested node finds the runs of its child class by
+    /// binary search, and a variable root visits every class. The runs of
+    /// each operator are looked up once; when one has none, as for most
+    /// rules in most iterations, no match can exist and the search returns
+    /// at once without allocating.
+    pub fn search(&self, egraph: &EGraph<L>, index: &OpIndex<'_, L>, limit: usize) -> Matches {
+        let none = || Matches::none(self.vars.len());
+        if limit == 0 {
+            return none();
+        }
+        let mut inline: [&[Run<'_, L>]; INLINE_OPS] = [&[]; INLINE_OPS];
+        let mut spilled = Vec::new();
+        for (i, op) in self.ops.iter().enumerate() {
+            let runs = index.runs(op);
+            if runs.is_empty() {
+                return none();
+            }
+            match inline.get_mut(i) {
+                Some(slot) => *slot = runs,
+                None => {
+                    if spilled.is_empty() {
+                        spilled.extend_from_slice(&inline);
+                    }
+                    spilled.push(runs);
+                }
+            }
+        }
+        let runs = match self.ops.len() {
+            n if n <= INLINE_OPS => &inline[..n],
+            _ => &spilled[..],
+        };
         let mut matcher = Matcher {
             pattern: self,
             egraph,
+            runs,
             subst: vec![UNBOUND; self.vars.len()],
             pending: Vec::new(),
-            matches: Matches::none(self.vars.len()),
+            matches: none(),
             limit,
             root: UNBOUND,
         };
-        if limit == 0 {
-            return matcher.matches;
-        }
-        for class in classes {
-            matcher.root = class;
-            matcher.pending.push((self.nodes.len() - 1, class));
-            let more = matcher.visit();
-            matcher.pending.clear();
-            if !more {
-                break;
+        let root = self.nodes.len() - 1;
+        match &self.nodes[root] {
+            Node::ENode(pnode, op) => {
+                for run in runs[*op] {
+                    matcher.root = run.class;
+                    if !matcher.visit_nodes(pnode, run.nodes) {
+                        break;
+                    }
+                }
+            }
+            Node::Slot(_) => {
+                for class in egraph.classes() {
+                    matcher.root = class.id;
+                    matcher.pending.push((root, class.id));
+                    let more = matcher.visit();
+                    matcher.pending.clear();
+                    if !more {
+                        break;
+                    }
+                }
             }
         }
         matcher.matches
@@ -184,7 +213,7 @@ impl<L: Language> Pattern<L> {
         for node in &self.nodes {
             let id = match node {
                 Node::Slot(s) => slot(*s),
-                Node::ENode(e) => egraph.add(e.map_children(|c| ids[c.index()])),
+                Node::ENode(e, _) => egraph.add(e.map_children(|c| ids[c.index()])),
             };
             ids.push(id);
         }
@@ -192,12 +221,15 @@ impl<L: Language> Pattern<L> {
     }
 }
 
-/// `node` with every child replaced by the same id: under the
-/// [`Language::matches_op`] contract, two nodes match operators exactly when
-/// their keys are equal.
+/// `node` with every child replaced by the same id: two e-nodes have the
+/// same operator exactly when their keys are equal (see [`Language`]).
 fn op_key<L: Language>(node: &L) -> L {
     node.map_children(|_| Id(0))
 }
+
+/// How many operators' runs a search keeps on the stack; a pattern with more
+/// distinct operators keeps them all in a `Vec` instead.
+const INLINE_OPS: usize = 4;
 
 /// A placeholder id marking an unbound slot (never a real class).
 const UNBOUND: Id = Id(u32::MAX);
@@ -236,33 +268,51 @@ impl Matches {
     }
 }
 
-/// For each operator, the ascending ids of the classes holding an e-node
-/// with that operator. Built once per saturation iteration, so a rule's
-/// search visits only the classes its root can match.
+/// Consecutive e-nodes of one class that share an operator.
 #[derive(Clone, Debug)]
-pub struct OpIndex<L> {
-    classes: FxHashMap<L, Vec<Id>>,
+pub(crate) struct Run<'a, L> {
+    /// The class holding the e-nodes (canonical when the index was built).
+    pub(crate) class: Id,
+    /// The e-nodes, in their order within the class.
+    pub(crate) nodes: &'a [L],
 }
 
-impl<L: Language> OpIndex<L> {
-    /// Indexes every class of `egraph`.
-    pub fn new(egraph: &EGraph<L>) -> OpIndex<L> {
-        let mut classes: FxHashMap<L, Vec<Id>> = FxHashMap::default();
+/// For each operator, the runs of consecutive e-nodes with that operator, in
+/// ascending class id and then in node order within each class. Built once
+/// per saturation iteration, so a search reads only the e-nodes its pattern
+/// nodes can match.
+///
+/// A clean class is sorted, so each of its operators is one run; an unsorted
+/// class (after a union, before the rebuild) adds a run per stretch, which
+/// keeps its node order.
+#[derive(Clone, Debug)]
+pub struct OpIndex<'a, L> {
+    runs: FxHashMap<L, Vec<Run<'a, L>>>,
+}
+
+impl<'a, L: Language> OpIndex<'a, L> {
+    /// Indexes every e-node of `egraph`.
+    pub fn new(egraph: &'a EGraph<L>) -> OpIndex<'a, L> {
+        let mut runs: FxHashMap<L, Vec<Run<'a, L>>> = FxHashMap::default();
         for class in egraph.classes() {
-            for node in &class.nodes {
-                let ids = classes.entry(op_key(node)).or_default();
-                if ids.last() != Some(&class.id) {
-                    ids.push(class.id);
-                }
+            let mut rest = &class.nodes[..];
+            while let Some(first) = rest.first() {
+                let key = op_key(first);
+                let len = 1 + rest[1..].iter().take_while(|n| op_key(*n) == key).count();
+                let (nodes, tail) = rest.split_at(len);
+                runs.entry(key).or_default().push(Run {
+                    class: class.id,
+                    nodes,
+                });
+                rest = tail;
             }
         }
-        OpIndex { classes }
+        OpIndex { runs }
     }
 
-    /// The ascending ids of the classes holding an e-node whose operator
-    /// matches `op` (whose children are ignored).
-    pub fn classes(&self, op: &L) -> &[Id] {
-        self.classes.get(op).map_or(&[], Vec::as_slice)
+    /// The runs of the e-nodes whose operator key is `key`.
+    pub(crate) fn runs(&self, key: &L) -> &[Run<'a, L>] {
+        self.runs.get(key).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -271,6 +321,8 @@ impl<L: Language> OpIndex<L> {
 struct Matcher<'a, L: Language> {
     pattern: &'a Pattern<L>,
     egraph: &'a EGraph<L>,
+    /// The runs of each of the pattern's operators, indexed like its `ops`.
+    runs: &'a [&'a [Run<'a, L>]],
     /// The class bound to each slot, or [`UNBOUND`].
     subst: Vec<Id>,
     /// `(pattern position, class)` pairs still to match; the top is next.
@@ -307,20 +359,12 @@ impl<L: Language> Matcher<'_, L> {
                     true
                 }
             }
-            Node::ENode(pnode) => {
+            Node::ENode(pnode, op) => {
+                let runs = self.runs[*op];
+                let first = runs.partition_point(|run| run.class < class);
                 let mut more = true;
-                for enode in &egraph.class(class).nodes {
-                    if !enode.matches_op(pnode) || enode.children().len() != pnode.children().len()
-                    {
-                        continue;
-                    }
-                    let base = self.pending.len();
-                    // Reversed, so the first child is matched first.
-                    for (p, e) in pnode.children().iter().zip(enode.children()).rev() {
-                        self.pending.push((p.index(), *e));
-                    }
-                    more = self.visit();
-                    self.pending.truncate(base);
+                for run in runs[first..].iter().take_while(|run| run.class == class) {
+                    more = self.visit_nodes(pnode, run.nodes);
                     if !more {
                         break;
                     }
@@ -330,6 +374,25 @@ impl<L: Language> Matcher<'_, L> {
         };
         self.pending.push((pos, class));
         more
+    }
+
+    /// Matches `pnode`'s children against those of each of `enodes` in turn,
+    /// which all have `pnode`'s operator; returns false once `limit` matches
+    /// have been recorded.
+    fn visit_nodes(&mut self, pnode: &L, enodes: &[L]) -> bool {
+        for enode in enodes {
+            let base = self.pending.len();
+            // Reversed, so the first child is matched first.
+            for (p, e) in pnode.children().iter().zip(enode.children()).rev() {
+                self.pending.push((p.index(), *e));
+            }
+            let more = self.visit();
+            self.pending.truncate(base);
+            if !more {
+                return false;
+            }
+        }
+        true
     }
 }
 

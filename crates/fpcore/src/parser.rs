@@ -22,6 +22,7 @@ use crate::ast::{Expr, FPCore, RealOp};
 use crate::constant::Constant;
 use crate::symbol::Symbol;
 use crate::types::FpType;
+use std::collections::HashMap;
 use std::fmt;
 
 /// The deepest nesting the parser accepts: lists inside lists in the text
@@ -57,8 +58,8 @@ pub const THREAD_STACK_BYTES: usize = 8 << 20;
 /// `(a1 (+ a0 a0)) (a2 (+ a1 a1)) ...`, doubles the tree with each binding
 /// while its depth stays small: 22 such bindings, under 400 bytes of text,
 /// would expand to 8.4 million nodes, and a few more would exhaust memory.
-/// The parser computes each substitution's size before building it. The
-/// largest benchmark in the corpus has 79 nodes, `:pre` included.
+/// The parser computes an expansion's size before building it. The largest
+/// benchmark in the corpus has 79 nodes, `:pre` included.
 pub const MAX_NODES: usize = 10_000;
 
 /// An error produced while parsing FPCore text.
@@ -195,53 +196,131 @@ fn depth_error() -> ParseError {
     ParseError::new(format!("nesting deeper than {MAX_DEPTH} levels"))
 }
 
-/// `expr` with `value` in place of every occurrence of `name`, refused before
-/// it is built if it would have more than [`MAX_NODES`] nodes or be deeper
-/// than [`MAX_DEPTH`]. Both operands must already be within [`MAX_DEPTH`].
-fn substitute(expr: Expr, name: Symbol, value: &Expr) -> Result<Expr, ParseError> {
-    /// Counts the occurrences of `name` below `e`, at `level` (the root is 1),
-    /// and tracks the deepest level of any.
-    fn find(e: &Expr, name: Symbol, level: usize, count: &mut usize, deepest: &mut usize) {
-        match e {
-            Expr::Num(_) => {}
-            Expr::Var(v) => {
-                if *v == name {
-                    *count += 1;
-                    *deepest = (*deepest).max(level);
-                }
-            }
-            Expr::Op(_, args) => {
-                for arg in args {
-                    find(arg, name, level + 1, count, deepest);
-                }
-            }
-            Expr::If(c, t, el) => {
-                for arg in [c, t, el] {
-                    find(arg, name, level + 1, count, deepest);
-                }
-            }
-        }
+/// The body of a `let*` with every bound name replaced by its value, built in
+/// one walk: a name resolves to the latest binding before the place it
+/// occurs (for a name in a binding's value, before that binding), and a name
+/// no such binding has stays free. This is the tree that substituting the
+/// bindings into the body one at a time, innermost first, would give.
+///
+/// The expansion is refused before it is built if it would have more than
+/// [`MAX_NODES`] nodes or be deeper than [`MAX_DEPTH`]. Substituting one
+/// binding at a time never shrinks the tree, so the final size and depth
+/// decide; when both are over, the node cap is reported. A body that names no
+/// binding is returned as it is, and a value nothing uses is never built.
+/// The body and every value must already be within [`MAX_DEPTH`].
+fn expand_let(bindings: &[(Symbol, Expr)], body: Expr) -> Result<Expr, ParseError> {
+    let env = LetEnv::new(bindings);
+    let scope = bindings.len();
+    let (size, depth, names_a_binding) = env.measure(&body, scope);
+    if !names_a_binding {
+        return Ok(body);
     }
-    let (mut count, mut deepest) = (0, 0);
-    find(&expr, name, 1, &mut count, &mut deepest);
-    if count == 0 {
-        return Ok(expr);
-    }
-    // Each occurrence, one node, becomes a copy of `value`, so a chain of
-    // shallow bindings can build a large or a deep tree.
-    if count
-        .saturating_mul(value.size() - 1)
-        .saturating_add(expr.size())
-        > MAX_NODES
-    {
+    if size > MAX_NODES {
         return Err(ParseError::new(format!(
             "let substitution larger than {MAX_NODES} nodes"
         )));
     }
-    if deepest + value.depth() - 1 > MAX_DEPTH {
+    if depth > MAX_DEPTH {
         return Err(depth_error());
     }
-    Ok(expr.substitute(name, value))
+    Ok(env.build(&body, scope))
+}
+
+/// The bindings of one `let*`, indexed for [`expand_let`].
+struct LetEnv<'a> {
+    bindings: &'a [(Symbol, Expr)],
+    /// For each bound name, the indices of its bindings, ascending.
+    by_name: HashMap<Symbol, Vec<usize>>,
+    /// For each binding, the size and depth its value expands to
+    /// (saturating, so a value nothing uses may be far over the caps).
+    measures: Vec<(usize, usize)>,
+    /// For each binding, the binding its value ends at once a value that is
+    /// just a bound name is followed to that name's binding, and so on.
+    targets: Vec<usize>,
+}
+
+impl<'a> LetEnv<'a> {
+    fn new(bindings: &'a [(Symbol, Expr)]) -> LetEnv<'a> {
+        let mut by_name: HashMap<Symbol, Vec<usize>> = HashMap::new();
+        for (i, (name, _)) in bindings.iter().enumerate() {
+            by_name.entry(*name).or_default().push(i);
+        }
+        let mut env = LetEnv {
+            bindings,
+            by_name,
+            measures: Vec::with_capacity(bindings.len()),
+            targets: Vec::with_capacity(bindings.len()),
+        };
+        // In binding order, so each value reads the measures and targets of
+        // the bindings before it.
+        for (i, (_, value)) in bindings.iter().enumerate() {
+            let (size, depth, _) = env.measure(value, i);
+            env.measures.push((size, depth));
+            let target = match value {
+                Expr::Var(v) => env.lookup(*v, i).map_or(i, |k| env.targets[k]),
+                _ => i,
+            };
+            env.targets.push(target);
+        }
+        env
+    }
+
+    /// The binding `name` refers to among the first `scope` bindings.
+    fn lookup(&self, name: Symbol, scope: usize) -> Option<usize> {
+        let indices = self.by_name.get(&name)?;
+        let before = indices.partition_point(|&i| i < scope);
+        before.checked_sub(1).map(|k| indices[k])
+    }
+
+    /// The size and depth `expr` expands to with its names resolved among
+    /// the first `scope` bindings, and whether it names any of them.
+    fn measure(&self, expr: &Expr, scope: usize) -> (usize, usize, bool) {
+        match expr {
+            Expr::Num(_) => (1, 1, false),
+            Expr::Var(v) => match self.lookup(*v, scope) {
+                Some(k) => (self.measures[k].0, self.measures[k].1, true),
+                None => (1, 1, false),
+            },
+            Expr::Op(_, args) => self.measure_node(args.iter(), scope),
+            Expr::If(c, t, e) => self.measure_node([&**c, &**t, &**e].into_iter(), scope),
+        }
+    }
+
+    /// [`measure`](Self::measure) of a node with the given children.
+    fn measure_node<'e>(
+        &self,
+        children: impl Iterator<Item = &'e Expr>,
+        scope: usize,
+    ) -> (usize, usize, bool) {
+        children.map(|child| self.measure(child, scope)).fold(
+            (1, 1, false),
+            |(size, depth, names), (s, d, n)| {
+                (size.saturating_add(s), depth.max(d + 1), names || n)
+            },
+        )
+    }
+
+    /// `expr` with its names resolved among the first `scope` bindings.
+    fn build(&self, expr: &Expr, scope: usize) -> Expr {
+        match expr {
+            Expr::Num(_) => expr.clone(),
+            Expr::Var(v) => match self.lookup(*v, scope) {
+                Some(k) => {
+                    let target = self.targets[k];
+                    self.build(&self.bindings[target].1, target)
+                }
+                None => expr.clone(),
+            },
+            Expr::Op(op, args) => {
+                Expr::Op(*op, args.iter().map(|a| self.build(a, scope)).collect())
+            }
+            Expr::If(c, t, e) => Expr::If(
+                Box::new(self.build(c, scope)),
+                Box::new(self.build(t, scope)),
+                Box::new(self.build(e, scope)),
+            ),
+        }
+    }
 }
 
 fn expr_from_sexpr(sexpr: &Sexpr) -> Result<Expr, ParseError> {
@@ -299,15 +378,10 @@ fn expr_from_sexpr(sexpr: &Sexpr) -> Result<Expr, ParseError> {
                             _ => return Err(ParseError::new("malformed let binding")),
                         }
                     }
-                    // Expand as nested lets, innermost first (let* semantics, a
-                    // superset of let for the corpus): a binding's value may name
-                    // earlier bindings, which later steps substitute, and names
-                    // it takes from outside the `let` are never bound by them.
-                    let mut body = expr_from_sexpr(&rest[1])?;
-                    for (name, value) in parsed.iter().rev() {
-                        body = substitute(body, *name, value)?;
-                    }
-                    Ok(body)
+                    // let* semantics, a superset of let for the corpus: a
+                    // binding's value may name earlier bindings, and names it
+                    // takes from outside the `let` are never bound by them.
+                    expand_let(&parsed, expr_from_sexpr(&rest[1])?)
                 }
                 "-" if rest.len() == 1 => Ok(Expr::un(RealOp::Neg, expr_from_sexpr(&rest[0])?)),
                 "+" | "*" | "and" | "or" if rest.len() > 2 => {
@@ -538,6 +612,94 @@ mod tests {
         // `z` in `x`'s value is the outer `z`, not the binding after it.
         let e = parse_expr("(let* ((x (+ z 1)) (z 5) (w (* x z))) w)").unwrap();
         assert_eq!(e, parse_expr("(* (+ z 1) 5)").unwrap());
+    }
+
+    #[test]
+    fn let_star_later_bindings_shadow_earlier_ones() {
+        let e = parse_expr("(let* ((x 1) (x (+ x 2))) (* x x))").unwrap();
+        assert_eq!(e, parse_expr("(* (+ 1 2) (+ 1 2))").unwrap());
+        let e = parse_expr("(let* ((a 1) (b a) (a 2)) (+ a b))").unwrap();
+        assert_eq!(e, parse_expr("(+ 2 1)").unwrap());
+        // A value naming its own binding names the outer variable.
+        let e = parse_expr("(let ((x (+ x 1))) (* x 2))").unwrap();
+        assert_eq!(e, parse_expr("(* (+ x 1) 2)").unwrap());
+    }
+
+    #[test]
+    fn let_star_values_naming_later_bindings_keep_them_free() {
+        let e = parse_expr("(let* ((a (+ b 1)) (b 7) (c (* a b))) (- c a))").unwrap();
+        assert_eq!(e, parse_expr("(- (* (+ b 1) 7) (+ b 1))").unwrap());
+    }
+
+    #[test]
+    fn unused_let_values_are_neither_built_nor_refused() {
+        // a60 would expand to 2^61 - 1 nodes, but nothing names it.
+        let doubling: String = (1..=60)
+            .map(|i| format!("(a{i} (+ a{0} a{0}))", i - 1))
+            .collect();
+        let e = parse_expr(&format!("(let* ({doubling}) (- a0))")).unwrap();
+        assert_eq!(e, parse_expr("(- a0)").unwrap());
+        let e = parse_expr(&format!("(let* ({doubling}) a3)")).unwrap();
+        assert_eq!(e.size(), 15);
+    }
+
+    #[test]
+    fn long_let_alias_chains_expand_without_deep_recursion() {
+        // `(let* ((a1 a0) (a2 a1) ... (an a(n-1))) (+ an an))`.
+        let n = 50_000;
+        let aliases: String = (1..=n).map(|i| format!("(a{i} a{})", i - 1)).collect();
+        let e = parse_expr(&format!("(let* ({aliases}) (+ a{n} a{n}))")).unwrap();
+        assert_eq!(e, parse_expr("(+ a0 a0)").unwrap());
+    }
+
+    /// Xorshift64 drawing small `let*` forms over the names `a b c x`.
+    struct Forms(u64);
+
+    impl Forms {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        fn name(&mut self) -> &'static str {
+            ["a", "b", "c", "x"][self.below(4)]
+        }
+
+        /// A small literal, a name, or a sum of two names.
+        fn term(&mut self) -> String {
+            match self.below(4) {
+                0 => self.below(3).to_string(),
+                1 => self.name().to_owned(),
+                _ => format!("(+ {} {})", self.name(), self.name()),
+            }
+        }
+    }
+
+    #[test]
+    fn let_expansion_equals_substituting_one_binding_at_a_time() {
+        let mut forms = Forms(0x2545_f491_4f6c_dd1d);
+        for case in 0..500 {
+            let bindings: Vec<(&str, String)> = (0..forms.below(5))
+                .map(|_| (forms.name(), forms.term()))
+                .collect();
+            let body = format!("(* {} {})", forms.term(), forms.term());
+            let listed: String = bindings
+                .iter()
+                .map(|(name, value)| format!("({name} {value})"))
+                .collect();
+            let text = format!("(let* ({listed}) {body})");
+            // The old expansion as the reference: one substitution per
+            // binding, innermost first.
+            let expected = bindings
+                .iter()
+                .rev()
+                .fold(parse_expr(&body).unwrap(), |e, (name, value)| {
+                    e.substitute(Symbol::new(name), &parse_expr(value).unwrap())
+                });
+            assert_eq!(parse_expr(&text).unwrap(), expected, "case {case}: {text}");
+        }
     }
 
     #[test]

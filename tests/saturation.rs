@@ -1,18 +1,20 @@
 //! E-graph saturation pinned below the search.
 //!
-//! Two digests over every corpus benchmark on `c99` and `arith-fma`:
+//! Three digests over every corpus benchmark:
 //!
-//! * the instruction selector under `Config::fast`: its run report and its
-//!   ordered candidate list, and
+//! * the instruction selector under `Config::fast` on `c99` and `arith-fma`:
+//!   its run report and its ordered candidate list;
+//! * the same selector digest on all nine built-in targets, the targets the
+//!   retargeting workload compiles for; and
 //! * a deliberately truncating run (`match_limit` = 8) over the math and
-//!   desugaring rules: its union count and every class, id and nodes, in
-//!   iteration order.
+//!   desugaring rules, on `c99` and `arith-fma`: its union count and every
+//!   class, id and nodes, in iteration order.
 //!
-//! The second digest depends on which matches each rule finds first, so a
-//! change to the matcher's order (class order, node order within a class,
+//! The truncating digest depends on which matches each rule finds first, so
+//! a change to the matcher's order (class order, node order within a class,
 //! pre-order child choice), to the union sequence or to class numbering
 //! fails here before it reaches a frontier. The runner's limits all count
-//! work, so neither digest depends on machine speed.
+//! work, so no digest depends on machine speed.
 
 use chassis::isel::{InstructionSelector, TargetRules};
 use chassis::lang::expr_to_rec;
@@ -20,14 +22,14 @@ use chassis::lower::variable_types;
 use chassis::Config;
 use egraph::{EGraph, Runner, RunnerLimits};
 use fpcore::hash::ContentHasher;
-use targets::builtin;
+use targets::{builtin, Target};
 
 const TARGETS: [&str; 2] = ["c99", "arith-fma"];
 
-#[test]
-fn selector_digest_is_pinned() {
+/// The selector's run report and ordered candidates for every corpus
+/// benchmark on each of `targets`, hashed in corpus order.
+fn selector_digest(targets: &[Target]) -> String {
     let config = Config::fast().improve.isel;
-    let targets = TARGETS.map(|name| builtin::by_name(name).unwrap());
     let rules: Vec<TargetRules> = targets
         .iter()
         .map(|target| TargetRules::new(target).unwrap())
@@ -53,7 +55,24 @@ fn selector_digest_is_pinned() {
             }
         }
     }
-    assert_eq!(hasher.hex_digest(), "d1eb6ae47cd366488339b25d79f69732");
+    hasher.hex_digest()
+}
+
+#[test]
+fn selector_digest_is_pinned() {
+    let targets = TARGETS.map(|name| builtin::by_name(name).unwrap());
+    assert_eq!(
+        selector_digest(&targets),
+        "d1eb6ae47cd366488339b25d79f69732"
+    );
+}
+
+#[test]
+fn selector_digest_on_every_builtin_target_is_pinned() {
+    assert_eq!(
+        selector_digest(&builtin::all_targets()),
+        "3caa371b55d41776071121fb555deb68"
+    );
 }
 
 #[test]
